@@ -192,11 +192,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, BundleError, CurveError, HarnessError,
+    except (InputError, BundleError, CurveError, HarnessError, LiftError,
             ConnectionError_, expr.ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except LiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

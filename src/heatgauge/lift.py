@@ -21,7 +21,7 @@ from .geometry import Chart
 
 CLOSURE_TOL = 1e-12
 DEFAULT_STEP_TOL = 1e-10
-MAX_HALVINGS = 20
+MAX_HALVINGS = 13  # at most 8 * 2**13 = 65536 steps per segment
 _ERROR_FLOOR = 1e-13
 
 
@@ -45,15 +45,18 @@ class BaseCurve:
     """A curve in the base coordinates: parametric expressions in t, or a polyline.
 
     Polyline segments are parameterized over unit intervals indexed by
-    segment number.
+    segment number. points holds a polyline's vertices and is None for
+    parametric and reversed curves.
     """
 
     def __init__(self, chart: Chart, segments: Sequence[_Segment], kind: str,
-                 description: str = ""):
+                 description: str = "",
+                 points: Sequence[tuple[float, ...]] | None = None):
         self.chart = chart
         self.segments = list(segments)
         self.kind = kind
         self.description = description
+        self.points = None if points is None else list(points)
 
     @classmethod
     def parametric(cls, chart: Chart, exprs: Mapping[str, "Expression | str | float"],
@@ -101,20 +104,18 @@ class BaseCurve:
                 rows.append(tuple(float(x) for x in p))
         segments = []
         for k in range(len(rows) - 1):
-            a = np.asarray(rows[k])
-            b = np.asarray(rows[k + 1])
-            d = b - a
+            a = rows[k]
+            d = tuple(bi - ai for ai, bi in zip(a, rows[k + 1]))
 
             def position(t: float, k=k, a=a, d=d) -> tuple[float, ...]:
-                return tuple(a + (t - k) * d)
+                s = t - k
+                return tuple([ai + s * di for ai, di in zip(a, d)])
 
             def velocity(t: float, d=d) -> tuple[float, ...]:
-                return tuple(d)
+                return d
 
             segments.append(_Segment(float(k), float(k + 1), position, velocity))
-        curve = cls(chart, segments, "polyline", f"{len(rows)} vertices")
-        curve.points = rows
-        return curve
+        return cls(chart, segments, "polyline", f"{len(rows)} vertices", rows)
 
     def start(self) -> tuple[float, ...]:
         seg = self.segments[0]
@@ -185,13 +186,10 @@ class LiftResult:
                 "work_integral", "heat_integral")
 
 
-def _rhs(system: WorkSystem, segment: _Segment) -> Callable[[float, float], float]:
-    chart = system.chart
-    fns = [compile_expression(p, chart.coords) for p in system.coefficients]
+def _rhs(fns: Sequence[Callable[..., float]]) -> Callable[..., float]:
+    """dU/dt at base point v with velocity dv and fibre height u."""
 
-    def f(t: float, u: float) -> float:
-        v = segment.position(t)
-        dv = segment.velocity(t)
+    def f(v: tuple[float, ...], dv: tuple[float, ...], u: float) -> float:
         total = 0.0
         for fn, dvi in zip(fns, dv):
             if dvi != 0.0:
@@ -201,19 +199,39 @@ def _rhs(system: WorkSystem, segment: _Segment) -> Callable[[float, float], floa
     return f
 
 
-def _rk4(f: Callable[[float, float], float], t0: float, t1: float, u0: float,
-         n: int, record: bool = False):
-    h = (t1 - t0) / n
+# The kernel gives the same bits as the textbook loop that evaluates
+# f(t, u) = P(u, position(t)) . velocity(t) afresh for every stage:
+# - position and velocity are pure, so k2 and k3 share one evaluation of
+#   them at t + h/2;
+# - t + h is computed from t in every step and not shared with the next
+#   step's t0 + (k+1)*h: the two round differently;
+# - the dvi != 0.0 skip in _rhs means a coefficient is never evaluated
+#   where its velocity component is zero (axis-aligned segments), so it
+#   can neither raise an EvalError nor turn the sum into nan there;
+# - the sum starts from 0.0 and adds terms in coefficient order;
+# - k1 is evaluated before the midpoint position, so where both would
+#   fail on a parametric curve the same EvalError comes first.
+def _rk4(f: Callable[..., float], seg: _Segment, u0: float, n: int,
+         record: bool = False):
+    position, velocity = seg.position, seg.velocity
+    t0 = seg.t0
+    h = (seg.t1 - t0) / n
+    half = 0.5 * h
+    sixth = h / 6.0
     u = u0
     ts = [t0] if record else None
     us = [u0] if record else None
     for k in range(n):
         t = t0 + k * h
-        k1 = f(t, u)
-        k2 = f(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = f(t + h, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = f(position(t), velocity(t), u)
+        mid = t + half
+        v_mid = position(mid)
+        dv_mid = velocity(mid)
+        k2 = f(v_mid, dv_mid, u + half * k1)
+        k3 = f(v_mid, dv_mid, u + half * k2)
+        end = t + h
+        k4 = f(position(end), velocity(end), u + h * k3)
+        u = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if record:
             ts.append(t0 + (k + 1) * h)
             us.append(u)
@@ -225,13 +243,15 @@ def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
                fixed_steps: int | None = None) -> LiftResult:
     """Horizontal lift from fibre height u0 over the start of the curve.
 
-    Each segment is integrated with n and 2n steps; n doubles until the
-    two answers agree to step_tol per unit parameter, and the finer answer
-    is kept. fixed_steps skips the adaptivity (used for finite-difference
-    probes that must share a step count).
+    Each segment is integrated with n and 2n steps; n doubles, at most
+    MAX_HALVINGS times, until the two answers agree to step_tol per unit
+    parameter, and the finer answer is kept. fixed_steps skips the
+    adaptivity (used for finite-difference probes that must share a step
+    count).
     """
     if system.chart != curve.chart:
         raise LiftError("curve and system live on different charts")
+    f = _rhs([compile_expression(p, system.chart.coords) for p in system.coefficients])
     times: list[float] = []
     bases: list[tuple[float, ...]] = []
     energies: list[float] = []
@@ -241,18 +261,17 @@ def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
     u = float(u0)
     total_error = 0.0
     for seg_index, seg in enumerate(curve.segments):
-        f = _rhs(system, seg)
         span = seg.t1 - seg.t0
         try:
             if fixed_steps is not None:
                 n = max(2, fixed_steps)
-                u_fine, ts, us = _rk4(f, seg.t0, seg.t1, u, n, record=True)
+                u_fine, ts, us = _rk4(f, seg, u, n, record=True)
                 seg_error = 0.0
             else:
                 n = 8
-                u_coarse, _, _ = _rk4(f, seg.t0, seg.t1, u, n)
+                u_coarse, _, _ = _rk4(f, seg, u, n)
                 for _ in range(MAX_HALVINGS):
-                    u_fine, ts, us = _rk4(f, seg.t0, seg.t1, u, 2 * n, record=True)
+                    u_fine, ts, us = _rk4(f, seg, u, 2 * n, record=True)
                     diff = abs(u_fine - u_coarse)
                     if diff <= step_tol * max(abs(span), 1e-300):
                         break
@@ -356,9 +375,12 @@ def commutator_probe(system: WorkSystem, point: Mapping[str, float],
 
 
 def _simpson(values: Sequence[float], h: float) -> float:
+    """Composite Simpson over at least two intervals; an odd count ends
+    with Simpson's 3/8 rule on the last three."""
     n = len(values) - 1
     if n % 2 != 0:
-        raise LiftError("Simpson quadrature needs an even number of intervals")
+        tail = 3.0 * h / 8.0 * (values[-4] + 3.0 * (values[-3] + values[-2]) + values[-1])
+        return tail + (_simpson(values[:-3], h) if n > 3 else 0.0)
     total = values[0] + values[-1]
     total += 4.0 * sum(values[1:-1:2])
     total += 2.0 * sum(values[2:-1:2])

@@ -254,9 +254,8 @@ def write_csv(path, columns, rows) -> None:
     """Deterministic CSV: floats rendered with shortest round-trip repr."""
 
     def fmt(x):
-        if isinstance(x, float):
-            return repr(x)
-        if hasattr(x, "item"):
+        # numpy scalars (np.float64 subclasses float) are written as plain floats
+        if isinstance(x, float) or hasattr(x, "item"):
             return repr(float(x))
         return str(x)
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -107,6 +108,13 @@ class TestLiftCommand:
         path.write_text("V1,Q\n0,0\n1,1\n")
         assert main(["lift", "--file", system_file, "--curve", str(path)]) == 1
 
+    def test_unconverged_lift_names_segment(self, tmp_path, capsys):
+        path = tmp_path / "gas.csv"
+        path.write_text("V\n1\n2\n")
+        assert main(["lift", "--system", "ideal_gas", "--curve", str(path),
+                     "--u0", "1e8"]) == 1
+        assert "no convergence after 13 halvings on segment 0" in capsys.readouterr().err
+
     def test_parametric_curve(self, tmp_path, capsys):
         path = tmp_path / "circle.ini"
         path.write_text(CURVE_INI)
@@ -174,6 +182,32 @@ class TestDeterminism:
             assert main(["lift", "--file", system_file, "--curve", square_curve,
                          "--out", str(target)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _read_plain_csv(path):
+    text = path.read_text()
+    assert "np.float64(" not in text
+    header, *rows = list(csv.reader(text.splitlines()))
+    assert rows
+    return [[float(cell) for cell in row] for row in rows]
+
+
+class TestCsvCells:
+    def test_entropy_csv_cells_are_floats(self, tmp_path):
+        system = tmp_path / "flat.ini"
+        system.write_text(SYSTEM_INI.replace("P = -V2; 0", "P = -V2; -V1")
+                          .replace("nodes = 5", "nodes = 3"))
+        out = tmp_path / "entropy.csv"
+        assert main(["entropy", "--file", str(system), "--csv", str(out)]) == 0
+        rows = _read_plain_csv(out)
+        assert len(rows) == 27 and all(len(row) == 6 for row in rows)
+
+    def test_lift_csv_cells_are_floats(self, system_file, square_curve, tmp_path):
+        out = tmp_path / "lift.csv"
+        assert main(["lift", "--file", system_file, "--curve", square_curve,
+                     "--out", str(out)]) == 0
+        rows = _read_plain_csv(out)
+        assert all(len(row) == 6 for row in rows)
 
 
 class TestSystemIO:

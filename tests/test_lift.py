@@ -1,12 +1,14 @@
 import math
 import random
+import time
 
 import pytest
 
-from heatgauge.bundle import contact3, flat3, ideal_gas, wankel, zero_work
-from heatgauge.lift import (BaseCurve, CurveError, LiftError, commutator_probe,
-                            lift_curve, loop_holonomy, square_loop,
-                            work_integral)
+from heatgauge.bundle import (WorkSystem, contact3, flat3, ideal_gas, wankel,
+                              zero_work)
+from heatgauge.lift import (MAX_HALVINGS, BaseCurve, CurveError, LiftError,
+                            commutator_probe, lift_curve, loop_holonomy,
+                            square_loop, work_integral)
 
 CHART3 = contact3().chart
 
@@ -40,6 +42,18 @@ class TestBaseCurve:
         rev = curve.reversed()
         assert rev.start() == curve.end()
         assert rev.end() == curve.start()
+
+    def test_points_only_on_polylines(self):
+        curve = BaseCurve.polyline(CHART3, [(0, 0), (1, 0), (1, 2)])
+        assert curve.points == [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)]
+        assert curve.reversed().points is None
+        circle = BaseCurve.parametric(wankel().chart, {"theta": "t"}, 0.0, 1.0)
+        assert circle.points is None
+
+    def test_polyline_samples_are_plain_floats(self):
+        curve = BaseCurve.polyline(CHART3, [(0, 0), (1, 0.5)])
+        seg = curve.segments[0]
+        assert all(type(x) is float for x in seg.position(0.25) + seg.velocity(0.25))
 
 
 class TestLiftCurve:
@@ -97,6 +111,23 @@ class TestLiftCurve:
         curve = BaseCurve.polyline(system.chart, [(1.0,), (-1.0,)])
         with pytest.raises(LiftError, match="domain error"):
             lift_curve(system, curve, 1.0)
+
+    def test_step_budget_bounds_a_stiff_lift(self):
+        # the absolute step tolerance is below one ulp of U here, so the
+        # halvings never converge; the cap must end the lift quickly
+        system = ideal_gas()
+        curve = BaseCurve.polyline(system.chart, [(1.0,), (2.0,)])
+        start = time.perf_counter()
+        with pytest.raises(LiftError,
+                           match=f"no convergence after {MAX_HALVINGS} halvings on segment 0"):
+            lift_curve(system, curve, 1e8)
+        assert time.perf_counter() - start < 10.0
+
+    def test_coefficient_skipped_where_its_velocity_is_zero(self):
+        # P_V1 = sqrt(V2) is undefined at V2 < 0, but this path never moves V1
+        system = WorkSystem.build("skip", CHART3, {"V1": "sqrt(V2)", "V2": "1"})
+        curve = BaseCurve.polyline(CHART3, [(0.0, -1.0), (0.0, -0.5)])
+        assert lift_curve(system, curve, 0.0).delta_u == 0.5
 
     def test_chart_mismatch(self):
         curve = BaseCurve.polyline(ideal_gas().chart, [(1.0,), (2.0,)])
@@ -173,6 +204,16 @@ class TestWorkIntegral:
         curve = BaseCurve.polyline(CHART3, [(0, 0), (1, 1)])
         result = lift_curve(zero_work(), curve, 1.0)
         assert work_integral(zero_work(), result) == 0.0
+
+    @pytest.mark.parametrize("steps", [5, 6])
+    def test_fixed_step_counts_odd_and_even(self, steps):
+        # the work integrand is quadratic in t on each segment and does not
+        # depend on U, so RK4, Simpson and the 3/8 rule are all exact
+        system = WorkSystem.build("cubic", CHART3, {"V1": "V1^2 - V2", "V2": "V1*V2"})
+        curve = BaseCurve.polyline(system.chart, [(0, 0), (0.6, 0.2), (0.1, 0.9)])
+        result = lift_curve(system, curve, 0.0, fixed_steps=steps)
+        assert result.steps_per_segment == [steps, steps]
+        assert work_integral(system, result) == pytest.approx(-result.delta_u, abs=1e-12)
 
     def test_wankel_full_circle(self):
         w = wankel("2")
