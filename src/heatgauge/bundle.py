@@ -213,13 +213,12 @@ def apply_gauge(system: WorkSystem, gauge: GaugeTransform,
 # ---------------------------------------------------------------------------
 # Built-in systems
 
-def ideal_gas(nr: float = 1.0) -> WorkSystem:
+def ideal_gas() -> WorkSystem:
     """Monatomic ideal gas on chart (U, V): physical pressure 2U/(3V).
 
-    With U = (3/2) nr T the coefficient is independent of nr; the
-    parameter only fixes the temperature scale and is kept for clarity.
+    With U = (3/2) nR T the coefficient does not depend on the amount of
+    gas, which only fixes the temperature scale.
     """
-    del nr
     chart = Chart(("U", "V"))
     return WorkSystem.build("ideal_gas", chart, {"V": "-(2*U)/(3*V)"})
 

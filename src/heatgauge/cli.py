@@ -28,8 +28,6 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--system", help="built-in system name")
     group.add_argument("--file", help="system definition file")
-    parser.add_argument("--nr", type=float, default=1.0,
-                        help="amount of gas for the built-in ideal_gas (default 1)")
     parser.add_argument("--tau", default="1",
                         help="torque expression in theta for the built-in wankel")
 
@@ -37,7 +35,7 @@ def _add_system_options(parser: argparse.ArgumentParser) -> None:
 def _load_setup(args: argparse.Namespace) -> SystemSetup:
     if args.file:
         return systemio.parse_system_file(args.file)
-    return systemio.builtin_setup(args.system, nr=args.nr, tau=args.tau)
+    return systemio.builtin_setup(args.system, tau=args.tau)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

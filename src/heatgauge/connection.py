@@ -13,6 +13,7 @@ from .expr import Expression, compile_expression
 from .geometry import (DifferentialForm, VectorField, exterior_derivative,
                        wedge)
 from .bundle import WorkSystem
+from .tolerances import FLATNESS_TOL
 
 
 class ConnectionError_(Exception):
@@ -141,7 +142,7 @@ def grid_points(region: Region, coords: tuple[str, ...], grid: int) -> Iterator[
 
 
 def flatness(system: WorkSystem, region: Region, grid: int = 11,
-             tol: float = 1e-9, collect_samples: bool = True) -> FlatnessReport:
+             tol: float = FLATNESS_TOL, collect_samples: bool = True) -> FlatnessReport:
     """Sample |F_ij| and the defect components over a grid and give a verdict.
 
     The verdict is flat iff the grid maximum of |F_ij| is below tol; the

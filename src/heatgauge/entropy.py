@@ -7,6 +7,13 @@ reference fibre. Temperature is the reciprocal vertical derivative of
 that height, obtained by central finite differences across the fibre.
 When the system is curved the construction is path dependent, and that
 path dependence is measured and reported as the failure signal.
+
+Every transport here is a straight-segment (or staircase) lift whose end
+height alone is needed, so it runs through lift.lift_endpoint: one
+generated RK4 kernel per system and zero-velocity mask
+(expr.segment_kernel), with no curve object, samples or LiftResult per
+lift. The kernel repeats the IEEE operations of lift_curve in the same
+order, so the values are those lift_curve gives, bit for bit.
 """
 from __future__ import annotations
 
@@ -20,13 +27,13 @@ from . import expr
 from .expr import compile_expression
 from .bundle import WorkSystem
 from .connection import grid_points
-from .lift import BaseCurve, LiftError, lift_curve
+from .lift import LiftError, lift_endpoint
+from .tolerances import RESIDUAL_TOL
 
 Region = Mapping[str, tuple[float, float]]
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_LIFT_TOL = 1e-12
-DEFAULT_RESIDUAL_TOL = 1e-6
 PATH_DEPENDENCE_FACTOR = 10.0
 
 
@@ -97,11 +104,11 @@ def _transport(system: WorkSystem, u: float, base: Sequence[float],
                fixed_steps: int | None = None) -> tuple[float, int]:
     """Lift the straight base segment base -> ref from height u.
 
-    Returns the arrival height and the step count used.
+    Returns the arrival height, as np.float64, and the step count used.
     """
-    curve = BaseCurve.polyline(system.chart, [tuple(base), tuple(ref)])
-    result = lift_curve(system, curve, u, step_tol=lift_tol, fixed_steps=fixed_steps)
-    return result.energies[-1], result.steps_per_segment[0]
+    u_end, steps = lift_endpoint(system, [base, ref], u, step_tol=lift_tol,
+                                 fixed_steps=fixed_steps)
+    return np.float64(u_end), steps[0]
 
 
 def _staircase(base: Sequence[float], ref: Sequence[float], order: Sequence[int]):
@@ -121,12 +128,14 @@ def reconstruct(system: WorkSystem, ref_base: Mapping[str, float],
                 region: Region, grid: int = 9,
                 fd_step: float = DEFAULT_FD_STEP,
                 lift_tol: float = DEFAULT_LIFT_TOL,
-                residual_tol: float = DEFAULT_RESIDUAL_TOL) -> EntropyChart:
+                residual_tol: float = RESIDUAL_TOL) -> EntropyChart:
     """Reconstruct S, T, and the residual |xi - T dS| on a coordinate grid.
 
-    The auxiliary lifts behind each finite difference reuse the step count
-    of the node's central lift so that integration error largely cancels
-    in the differences.
+    S at a node is the end height of the straight lift from the node to
+    the reference point, computed by the generated endpoint kernel (see
+    the module docstring). The auxiliary lifts behind each finite
+    difference reuse the step count of the node's central lift so that
+    integration error largely cancels in the differences.
     """
     chart = system.chart
     missing = set(chart.coords) - set(region)
@@ -222,11 +231,12 @@ def _path_dependence(system: WorkSystem, region: Region, ref: Sequence[float],
     forward = list(range(m))
     backward = list(reversed(forward))
     for corner in corners:
-        path_a = BaseCurve.polyline(chart, _staircase(corner, ref, forward))
-        path_b = BaseCurve.polyline(chart, _staircase(corner, ref, backward))
-        ua = lift_curve(system, path_a, u_mid, step_tol=lift_tol).energies[-1]
-        ub = lift_curve(system, path_b, u_mid, step_tol=lift_tol).energies[-1]
-        worst = max(worst, abs(ua - ub))
+        ua, _ = lift_endpoint(system, _staircase(corner, ref, forward), u_mid,
+                              step_tol=lift_tol)
+        ub, _ = lift_endpoint(system, _staircase(corner, ref, backward), u_mid,
+                              step_tol=lift_tol)
+        # np.float64 keeps the type and repr of the reported path dependence
+        worst = max(worst, abs(np.float64(ua) - np.float64(ub)))
     return worst
 
 

@@ -3,7 +3,9 @@
 Small closed-form expression language used everywhere else in the package:
 a recursive-descent parser, exact symbolic partial derivatives, pointwise
 evaluation with real-domain checking, and compilation to plain Python
-functions for fast repeated numeric evaluation.
+functions for fast repeated numeric evaluation: one function per
+expression, or one generated RK4 kernel per system and straight-segment
+velocity pattern (segment_kernel).
 
 Supported grammar: +, -, *, /, ^ (right associative), unary minus,
 parentheses, and the functions sin, cos, tan, exp, log, sqrt, abs.
@@ -515,3 +517,143 @@ def compile_expression(e: Expression, coords: tuple[str, ...]) -> Callable[..., 
     namespace = dict(_COMPILE_GLOBALS)
     exec(src, namespace)  # noqa: S102 - generated from a closed AST, no user code
     return namespace["_compiled"]
+
+
+# ---------------------------------------------------------------------------
+# Generated RK4 kernels for straight segments
+
+def _shape(e: Expression) -> tuple:
+    """Structural key of an expression tree.
+
+    Constants are keyed by float.hex: dataclass equality has
+    Const(0.0) == Const(-0.0), yet x + 0.0 and x + -0.0 differ at x = -0.0.
+    """
+    if isinstance(e, Const):
+        return ("c", float(e.value).hex())
+    if isinstance(e, Var):
+        return ("v", e.name)
+    if isinstance(e, Neg):
+        return ("neg", _shape(e.arg))
+    if isinstance(e, Call):
+        return ("call", e.func, _shape(e.arg))
+    return (e.op, _shape(e.left), _shape(e.right))
+
+
+def segment_kernel(coefficients: tuple[Expression, ...], coords: tuple[str, ...],
+                   mask: tuple[bool, ...]) -> Callable[..., float]:
+    """RK4 over one straight polyline segment, as one generated function.
+
+    coords[0] is the fibre coordinate U and coords[1:] the base
+    coordinates, one coefficient P_i per base coordinate. mask[i] is
+    False where the segment's velocity component d_i is zero; those
+    coefficients are not evaluated. The kernel is called as
+    kernel(a, d, k, u, n): segment k of a polyline runs over t in
+    [k, k + 1] from base point a with velocity d, and the kernel takes n
+    classical RK4 steps of dU/dt = sum_i P_i(U, a + (t - k) d) d_i from
+    height u and returns the end height.
+
+    Kernels are generated on first use and cached by the structure of
+    the coefficients, the coordinates and the mask.
+    """
+    return _segment_kernel(tuple(_shape(p) for p in coefficients), tuple(coords),
+                           tuple(mask))
+
+
+# The kernel performs the same IEEE operations, in the same order, as
+# lift._rk4 with the compiled coefficients, and so raises the same first
+# EvalError:
+# - one temporary per non-leaf node, emitted in evaluation post-order;
+#   a node already computed in the same stage is reused, and k3 reuses
+#   the temporaries of k2 that do not depend on U (same midpoint); k4
+#   and the next step's k1 share nothing, as t + h and t0 + (j+1)*h
+#   round differently;
+# - _div, _pow and the checked functions stay calls;
+# - each stage sums 0.0 + P_i * d_i in coefficient order over the
+#   masked coefficients; positions are a_i + (t - k) * d_i.
+@lru_cache(maxsize=1024)
+def _segment_kernel(shapes: tuple[tuple, ...], coords: tuple[str, ...],
+                    mask: tuple[bool, ...]) -> Callable[..., float]:
+    vertical = coords[0]
+    base = {c: i for i, c in enumerate(coords[1:])}
+    terms = [(shape, f"d{i}") for i, (shape, on) in enumerate(zip(shapes, mask)) if on]
+    used: set[int] = set()
+
+    def stage(number: int, u_name: str, memo: dict[tuple, tuple[str, bool]]) -> list[str]:
+        """Lines computing k<number>; memo maps computed nodes to their
+        temporaries and grows as nodes are emitted."""
+        lines: list[str] = []
+
+        def emit(node: tuple) -> tuple[str, bool]:
+            """Text of the node's value and whether it depends on U."""
+            tag = node[0]
+            if tag == "c":
+                return repr(float.fromhex(node[1])), False
+            if tag == "v":
+                if node[1] == vertical:
+                    return u_name, True
+                if node[1] not in base:
+                    raise ExpressionError(f"variable {node[1]!r} is not a coordinate")
+                used.add(base[node[1]])
+                return f"x{base[node[1]]}", False
+            if node in memo:
+                return memo[node]
+            if tag == "neg":
+                arg, dep = emit(node[1])
+                code = f"-{arg}"
+            elif tag == "call":
+                arg, dep = emit(node[2])
+                code = f"_{node[1]}({arg})"
+            else:
+                (left, dep_l), (right, dep_r) = emit(node[1]), emit(node[2])
+                dep = dep_l or dep_r
+                if tag == "/":
+                    code = f"_div({left}, {right})"
+                elif tag == "^":
+                    code = f"_pow({left}, {right})"
+                else:
+                    code = f"{left} {tag} {right}"
+            name = f"e{number}_{len(lines)}"
+            lines.append(f"{name} = {code}")
+            memo[node] = (name, dep)
+            return memo[node]
+
+        total = " + ".join(["0.0"] + [f"{emit(shape)[0]} * {dv}" for shape, dv in terms])
+        lines.append(f"k{number} = {total}")
+        return lines
+
+    def positions(t: str) -> list[str]:
+        return [f"s = {t} - k"] + [f"x{i} = a{i} + s * d{i}" for i in sorted(used)]
+
+    # the stages come first: the positions need the set of base coordinates used
+    k1 = stage(1, "u", {})
+    midpoint: dict[tuple, tuple[str, bool]] = {}
+    k2 = stage(2, "w", midpoint)
+    k3 = stage(3, "w", {node: v for node, v in midpoint.items() if not v[1]})
+    k4 = stage(4, "w", {})
+    m = len(coords) - 1
+    steps = [
+        "t = t0 + j * h",
+        *positions("t"), *k1,
+        *positions("t + half"),
+        "w = u + half * k1", *k2,
+        "w = u + half * k2", *k3,
+        *positions("t + h"),
+        "w = u + h * k3", *k4,
+        "u = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)",
+    ]
+    src = "\n".join([
+        "def _segment(a, d, k, u, n):",
+        "    " + "".join(f"a{i}, " for i in range(m)) + "= a",
+        "    " + "".join(f"d{i}, " for i in range(m)) + "= d",
+        "    t0 = float(k)",
+        "    h = (float(k + 1) - t0) / n",
+        "    half = 0.5 * h",
+        "    sixth = h / 6.0",
+        "    for j in range(n):",
+        *("        " + line for line in steps),
+        "    return u",
+        "",
+    ])
+    namespace = dict(_COMPILE_GLOBALS)
+    exec(src, namespace)  # noqa: S102 - generated from a closed AST, no user code
+    return namespace["_segment"]

@@ -18,12 +18,9 @@ from .connection import FlatnessReport, curvature_matrix, flatness, grid_points
 from .entropy import ResidualSummary, reconstruct, residual_report
 from .geometry import Chart
 from .lift import BaseCurve, lift_curve, square_loop
+from .tolerances import FLATNESS_TOL, HOLONOMY_TOL, PHASE_CLOSURE_TOL, RESIDUAL_TOL
 
 Region = Mapping[str, tuple[float, float]]
-
-DEFAULT_FLATNESS_TOL = 1e-9
-DEFAULT_RESIDUAL_TOL = 1e-6
-DEFAULT_HOLONOMY_TOL = 1e-7
 
 
 class HarnessError(Exception):
@@ -158,7 +155,7 @@ class JauchReport:
 
 
 def jauch_test(system: WorkSystem, loops: Sequence[BaseCurve], u0: float,
-               tol: float = DEFAULT_HOLONOMY_TOL) -> JauchReport:
+               tol: float = HOLONOMY_TOL) -> JauchReport:
     records = []
     for loop in loops:
         if not loop.is_closed():
@@ -184,7 +181,7 @@ class EquivalenceReport:
     residual_summary: ResidualSummary
     flatness_report: FlatnessReport = field(repr=False)
     max_holonomy: float = 0.0
-    holonomy_tol: float = DEFAULT_HOLONOMY_TOL
+    holonomy_tol: float = HOLONOMY_TOL
 
     @property
     def agree(self) -> bool:
@@ -201,9 +198,9 @@ class EquivalenceReport:
 
 def equivalence_test(system: WorkSystem, region: Region, grid: int = 7,
                      loops: Sequence[BaseCurve] | None = None,
-                     flat_tol: float = DEFAULT_FLATNESS_TOL,
-                     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-                     holonomy_tol: float = DEFAULT_HOLONOMY_TOL,
+                     flat_tol: float = FLATNESS_TOL,
+                     residual_tol: float = RESIDUAL_TOL,
+                     holonomy_tol: float = HOLONOMY_TOL,
                      ref_base: Mapping[str, float] | None = None,
                      seed: int = 0) -> EquivalenceReport:
     """Run the three verdicts on one region and assert nothing: callers
@@ -251,7 +248,7 @@ class PhaseReport:
 
 
 def phase_demo(system: WorkSystem, revolutions: int, u0: float = 0.0,
-               tol: float = 1e-8) -> PhaseReport:
+               tol: float = PHASE_CLOSURE_TOL) -> PhaseReport:
     """Lift full revolutions of a circular base and track the energy gained.
 
     Requires exactly one base coordinate, marked periodic. Reports local

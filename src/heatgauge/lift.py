@@ -199,7 +199,7 @@ def _rhs(fns: Sequence[Callable[..., float]]) -> Callable[..., float]:
     return f
 
 
-# The kernel gives the same bits as the textbook loop that evaluates
+# _rk4 gives the same bits as the textbook loop that evaluates
 # f(t, u) = P(u, position(t)) . velocity(t) afresh for every stage:
 # - position and velocity are pure, so k2 and k3 share one evaluation of
 #   them at t + h/2;
@@ -211,6 +211,9 @@ def _rhs(fns: Sequence[Callable[..., float]]) -> Callable[..., float]:
 # - the sum starts from 0.0 and adds terms in coefficient order;
 # - k1 is evaluated before the midpoint position, so where both would
 #   fail on a parametric curve the same EvalError comes first.
+# The generated kernel behind lift_endpoint (expr.segment_kernel) keeps
+# every one of these invariants on straight segments, with a zero-velocity
+# mask in place of the dvi != 0.0 skip, so the two paths agree bit for bit.
 def _rk4(f: Callable[..., float], seg: _Segment, u0: float, n: int,
          record: bool = False):
     position, velocity = seg.position, seg.velocity
@@ -238,6 +241,35 @@ def _rk4(f: Callable[..., float], seg: _Segment, u0: float, n: int,
     return u, ts, us
 
 
+def _integrate_segment(run: Callable[[int, bool], tuple], span: float, step_tol: float,
+                       fixed_steps: int | None, index: int) -> tuple[tuple, int, float]:
+    """Integrate one segment by step doubling.
+
+    run(n, record) integrates the segment with n steps and returns a
+    tuple whose first item is the end height; record asks for the samples
+    of a result that may be kept. n starts at 8 and doubles, at most
+    MAX_HALVINGS times, until the n- and 2n-step heights agree to
+    step_tol per unit parameter; fixed_steps skips the adaptivity.
+    Returns the kept run, its step count and its error estimate.
+    """
+    try:
+        if fixed_steps is not None:
+            n = max(2, fixed_steps)
+            return run(n, True), n, 0.0
+        n = 8
+        coarse = run(n, False)[0]
+        for _ in range(MAX_HALVINGS):
+            fine = run(2 * n, True)
+            diff = abs(fine[0] - coarse)
+            if diff <= step_tol * max(abs(span), 1e-300):
+                return fine, 2 * n, diff
+            coarse = fine[0]
+            n *= 2
+    except expr.EvalError as exc:
+        raise LiftError(f"domain error during lift on segment {index}: {exc}") from exc
+    raise LiftError(f"no convergence after {MAX_HALVINGS} halvings on segment {index}")
+
+
 def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
                step_tol: float = DEFAULT_STEP_TOL,
                fixed_steps: int | None = None) -> LiftResult:
@@ -261,29 +293,9 @@ def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
     u = float(u0)
     total_error = 0.0
     for seg_index, seg in enumerate(curve.segments):
-        span = seg.t1 - seg.t0
-        try:
-            if fixed_steps is not None:
-                n = max(2, fixed_steps)
-                u_fine, ts, us = _rk4(f, seg, u, n, record=True)
-                seg_error = 0.0
-            else:
-                n = 8
-                u_coarse, _, _ = _rk4(f, seg, u, n)
-                for _ in range(MAX_HALVINGS):
-                    u_fine, ts, us = _rk4(f, seg, u, 2 * n, record=True)
-                    diff = abs(u_fine - u_coarse)
-                    if diff <= step_tol * max(abs(span), 1e-300):
-                        break
-                    u_coarse = u_fine
-                    n *= 2
-                else:
-                    raise LiftError(
-                        f"no convergence after {MAX_HALVINGS} halvings on segment {seg_index}")
-                seg_error = diff
-                n *= 2
-        except expr.EvalError as exc:
-            raise LiftError(f"domain error during lift on segment {seg_index}: {exc}") from exc
+        (u, ts, us), n, seg_error = _integrate_segment(
+            lambda n, record: _rk4(f, seg, u, n, record=record),
+            seg.t1 - seg.t0, step_tol, fixed_steps, seg_index)
         total_error += seg_error
         start_idx = len(times)
         times.extend(ts)
@@ -292,7 +304,6 @@ def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
         velocities.extend(seg.velocity(t) for t in ts)
         slices.append((start_idx, len(times)))
         steps_used.append(n)
-        u = u_fine
     delta_u = u - float(u0)
     # work is accumulated from the identical RK4 increments with opposite
     # sign, so the heat integral vanishes identically for adiabats
@@ -313,6 +324,33 @@ def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
         heat=float(heat),
         error=float(total_error + _ERROR_FLOOR * (1.0 + abs(delta_u))),
     )
+
+
+def lift_endpoint(system: WorkSystem, points: Sequence[Sequence[float]], u0: float,
+                  step_tol: float = DEFAULT_STEP_TOL,
+                  fixed_steps: int | None = None) -> tuple[float, list[int]]:
+    """End height and step counts of the lift over a polyline.
+
+    points are two or more base-coordinate tuples. The result equals, bit
+    for bit, energies[-1] and steps_per_segment of lift_curve over
+    BaseCurve.polyline(system.chart, points) with the same arguments, and
+    a failing lift raises the same LiftError; each segment runs in one
+    generated kernel (expr.segment_kernel) and no samples are recorded.
+    """
+    rows = [tuple(float(x) for x in p) for p in points]
+    coords = system.chart.coords
+    u = float(u0)
+    steps = []
+    for k in range(len(rows) - 1):
+        a = rows[k]
+        d = tuple(bi - ai for ai, bi in zip(a, rows[k + 1]))
+        kernel = expr.segment_kernel(system.coefficients, coords,
+                                     tuple(di != 0.0 for di in d))
+        (u,), n, _ = _integrate_segment(
+            lambda n, record: (kernel(a, d, k, u, n),),
+            float(k + 1) - float(k), step_tol, fixed_steps, k)
+        steps.append(n)
+    return u, steps
 
 
 def loop_holonomy(system: WorkSystem, curve: BaseCurve, u0: float,

@@ -15,12 +15,13 @@ from . import bundle, expr
 from .bundle import WorkSystem
 from .geometry import Chart
 from .lift import BaseCurve
+from .tolerances import FLATNESS_TOL, HOLONOMY_TOL, RESIDUAL_TOL
 
 DEFAULT_GRID = 11
 DEFAULT_TOLERANCES = {
-    "flatness": 1e-9,
-    "residual": 1e-6,
-    "holonomy": 1e-7,
+    "flatness": FLATNESS_TOL,
+    "residual": RESIDUAL_TOL,
+    "holonomy": HOLONOMY_TOL,
 }
 
 
@@ -156,9 +157,9 @@ def default_region(system: WorkSystem) -> dict[str, tuple[float, float]]:
     return region
 
 
-def builtin_setup(name: str, nr: float = 1.0, tau: str = "1") -> SystemSetup:
+def builtin_setup(name: str, tau: str = "1") -> SystemSetup:
     factories = {
-        "ideal_gas": lambda: bundle.ideal_gas(nr),
+        "ideal_gas": bundle.ideal_gas,
         "contact3": bundle.contact3,
         "flat3": bundle.flat3,
         "wankel": lambda: bundle.wankel(tau),
