@@ -147,6 +147,8 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
 
     The verdict is flat iff the grid maximum of |F_ij| is below tol; the
     defect maximum is reported alongside as the integrability cross-check.
+    A component that fails to evaluate, or is nan, at a grid point raises
+    ConnectionError_ naming the point.
     """
     chart = system.chart
     missing = set(chart.coords) - set(region)
@@ -168,6 +170,10 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
         except expr.EvalError as exc:
             point = dict(zip(chart.coords, node))
             raise ConnectionError_(f"evaluation failed at grid point {point}: {exc}") from exc
+        for name, v in zip(columns[len(node):], f_vals + d_vals):
+            if v != v:  # nan, which max() below would pass over
+                point = dict(zip(chart.coords, node))
+                raise ConnectionError_(f"evaluation failed at grid point {point}: {name} is nan")
         for v in f_vals:
             max_f = max(max_f, abs(v))
         for v in d_vals:

@@ -3,9 +3,11 @@
 Small closed-form expression language used everywhere else in the package:
 a recursive-descent parser, exact symbolic partial derivatives, pointwise
 evaluation with real-domain checking, and compilation to plain Python
-functions for fast repeated numeric evaluation: one function per
-expression, or one generated RK4 kernel per system and straight-segment
-velocity pattern (segment_kernel).
+functions. One emitter (_emit) writes straight-line code with one
+temporary per distinct node for both targets: one function per expression
+(compile_expression) and one RK4 kernel per system and straight-segment
+velocity pattern (segment_kernel). Both caches key on one structural key
+(_shape) that tells signed zeros apart.
 
 Supported grammar: +, -, *, /, ^ (right associative), unary minus,
 parentheses, and the functions sin, cos, tan, exp, log, sqrt, abs.
@@ -108,7 +110,8 @@ def _checked_exp(x: float) -> float:
         raise EvalError("overflow in exp") from exc
 
 
-_FUNCTION_IMPL: dict[str, Callable[[float], float]] = {
+# The checked functions by name; generated code calls each as _<name>.
+_FUNCTIONS: dict[str, Callable[..., float]] = {
     "sin": math.sin,
     "cos": math.cos,
     "tan": math.tan,
@@ -116,6 +119,8 @@ _FUNCTION_IMPL: dict[str, Callable[[float], float]] = {
     "log": _checked_log,
     "sqrt": _checked_sqrt,
     "abs": abs,
+    "div": _checked_div,
+    "pow": _checked_pow,
 }
 
 
@@ -354,10 +359,7 @@ def evaluate(e: Expression, env: Mapping[str, float]) -> float:
             return _checked_div(a, b)
         return _checked_pow(a, b)
     if isinstance(e, Call):
-        x = evaluate(e.arg, env)
-        if e.func == "abs":
-            return abs(x)
-        return _FUNCTION_IMPL[e.func](x)
+        return _FUNCTIONS[e.func](evaluate(e.arg, env))
     raise ExpressionError(f"not an expression node: {e!r}")
 
 
@@ -464,79 +466,104 @@ def unparse(e: Expression) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to plain Python functions
+# Compilation: one emitter, two targets
 
-def _emit(e: Expression, names: Mapping[str, str]) -> str:
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        try:
-            return names[e.name]
-        except KeyError:
-            raise ExpressionError(f"variable {e.name!r} is not a coordinate") from None
-    if isinstance(e, Neg):
-        return f"(-{_emit(e.arg, names)})"
-    if isinstance(e, BinOp):
-        left = _emit(e.left, names)
-        right = _emit(e.right, names)
-        if e.op == "/":
-            return f"_div({left}, {right})"
-        if e.op == "^":
-            return f"_pow({left}, {right})"
-        return f"({left} {e.op} {right})"
-    return f"_{e.func}({_emit(e.arg, names)})"
+def _shape(e: Expression) -> tuple:
+    """Structural key of an expression; both compile caches key on it.
 
-
-_COMPILE_GLOBALS = {
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_tan": math.tan,
-    "_exp": _checked_exp,
-    "_log": _checked_log,
-    "_sqrt": _checked_sqrt,
-    "_abs": abs,
-    "_div": _checked_div,
-    "_pow": _checked_pow,
-}
+    Constants are keyed by float.hex: dataclass equality has
+    Const(0.0) == Const(-0.0), yet x + 0.0 and x + -0.0 differ at x = -0.0.
+    Each node keeps its key in __dict__, outside the dataclass fields, and
+    a key holds its children's keys: a DAG's key is as large as the DAG.
+    """
+    shape = e.__dict__.get("_shape")
+    if shape is None:
+        if isinstance(e, Const):
+            shape = ("c", float(e.value).hex())
+        elif isinstance(e, Var):
+            shape = ("v", e.name)
+        elif isinstance(e, Neg):
+            shape = ("neg", _shape(e.arg))
+        elif isinstance(e, Call):
+            shape = ("call", e.func, _shape(e.arg))
+        else:
+            shape = (e.op, _shape(e.left), _shape(e.right))
+        e.__dict__["_shape"] = shape
+    return shape
 
 
-@lru_cache(maxsize=4096)
+def _emit(root: tuple, leaf: Callable[[str], tuple[str, bool]],
+          memo: dict[tuple, tuple[str, bool]], lines: list[tuple[str, str]],
+          prefix: str) -> tuple[str, bool]:
+    """Append (temporary, code) to lines for each non-leaf node of root,
+    in evaluation post-order, and return the root's text and whether it
+    varies. leaf(name) gives a variable's text and whether it varies; a
+    node varies if a leaf under it does. A node in memo (node -> result)
+    is reused, and memo grows as nodes are emitted.
+    """
+
+    def go(node: tuple) -> tuple[str, bool]:
+        tag = node[0]
+        if tag == "c":
+            value = float.fromhex(node[1])
+            return (repr(value) if math.isfinite(value) else f"float('{value!r}')"), False
+        if tag == "v":
+            return leaf(node[1])
+        if node in memo:
+            return memo[node]
+        if tag == "neg":
+            arg, varies = go(node[1])
+            code = f"-{arg}"
+        elif tag == "call":
+            arg, varies = go(node[2])
+            code = f"_{node[1]}({arg})"
+        else:
+            (left, left_varies), (right, right_varies) = go(node[1]), go(node[2])
+            varies = left_varies or right_varies
+            func = {"/": "div", "^": "pow"}.get(tag)
+            code = f"_{func}({left}, {right})" if func else f"{left} {tag} {right}"
+        memo[node] = (f"{prefix}{len(lines)}", varies)
+        lines.append((memo[node][0], code))
+        return memo[node]
+
+    return go(root)
+
+
+def _define(name: str, params: str, body: list[str]) -> Callable[..., float]:
+    """Execute one generated function definition against _FUNCTIONS."""
+    namespace = {f"_{func}": impl for func, impl in _FUNCTIONS.items()}
+    source = "\n    ".join([f"def {name}({params}):", *body]) + "\n"
+    exec(source, namespace)  # noqa: S102 - generated from a closed AST, no user code
+    return namespace[name]
+
+
 def compile_expression(e: Expression, coords: tuple[str, ...]) -> Callable[..., float]:
     """Compile to a Python function taking coordinate values positionally.
 
     Coordinate names are mapped to positional slots, so any identifier is a
-    legal coordinate name. Domain violations raise EvalError, matching
-    evaluate().
+    legal coordinate name. Values and EvalErrors match evaluate() bit for
+    bit. Cached by the structural key of e and coords, as by lru_cache.
     """
-    unknown = variables(e) - set(coords)
-    if unknown:
-        raise ExpressionError(f"unbound variables {sorted(unknown)} for coordinates {list(coords)}")
-    names = {c: f"_x{i}" for i, c in enumerate(coords)}
-    args = ", ".join(names[c] for c in coords)
-    src = f"def _compiled({args}):\n    return {_emit(e, names)}\n"
-    namespace = dict(_COMPILE_GLOBALS)
-    exec(src, namespace)  # noqa: S102 - generated from a closed AST, no user code
-    return namespace["_compiled"]
+    try:
+        return _compile(_shape(e), tuple(coords))
+    except KeyError:  # a variable with no slot
+        unknown = sorted(variables(e) - set(coords))
+        raise ExpressionError(f"unbound variables {unknown} for coordinates {list(coords)}") from None
 
 
-# ---------------------------------------------------------------------------
-# Generated RK4 kernels for straight segments
+@lru_cache(maxsize=4096)
+def _compile(shape: tuple, coords: tuple[str, ...]) -> Callable[..., float]:
+    slots = {c: f"_x{i}" for i, c in enumerate(coords)}
+    lines: list[tuple[str, str]] = []
+    root, _ = _emit(shape, lambda name: (slots[name], False), {}, lines, "e")
+    if lines:
+        root = lines.pop()[1]  # the root node's code, returned directly
+    return _define("_compiled", ", ".join(slots[c] for c in coords),
+                   [f"{name} = {code}" for name, code in lines] + [f"return {root}"])
 
-def _shape(e: Expression) -> tuple:
-    """Structural key of an expression tree.
 
-    Constants are keyed by float.hex: dataclass equality has
-    Const(0.0) == Const(-0.0), yet x + 0.0 and x + -0.0 differ at x = -0.0.
-    """
-    if isinstance(e, Const):
-        return ("c", float(e.value).hex())
-    if isinstance(e, Var):
-        return ("v", e.name)
-    if isinstance(e, Neg):
-        return ("neg", _shape(e.arg))
-    if isinstance(e, Call):
-        return ("call", e.func, _shape(e.arg))
-    return (e.op, _shape(e.left), _shape(e.right))
+compile_expression.cache_info = _compile.cache_info
+compile_expression.cache_clear = _compile.cache_clear
 
 
 def segment_kernel(coefficients: tuple[Expression, ...], coords: tuple[str, ...],
@@ -552,8 +579,8 @@ def segment_kernel(coefficients: tuple[Expression, ...], coords: tuple[str, ...]
     classical RK4 steps of dU/dt = sum_i P_i(U, a + (t - k) d) d_i from
     height u and returns the end height.
 
-    Kernels are generated on first use and cached by the structure of
-    the coefficients, the coordinates and the mask.
+    Kernels are generated on first use and cached by the structural keys
+    of the coefficients, the coordinates and the mask.
     """
     return _segment_kernel(tuple(_shape(p) for p in coefficients), tuple(coords),
                            tuple(mask))
@@ -562,12 +589,12 @@ def segment_kernel(coefficients: tuple[Expression, ...], coords: tuple[str, ...]
 # The kernel performs the same IEEE operations, in the same order, as
 # lift._rk4 with the compiled coefficients, and so raises the same first
 # EvalError:
-# - one temporary per non-leaf node, emitted in evaluation post-order;
-#   a node already computed in the same stage is reused, and k3 reuses
-#   the temporaries of k2 that do not depend on U (same midpoint); k4
-#   and the next step's k1 share nothing, as t + h and t0 + (j+1)*h
-#   round differently;
-# - _div, _pow and the checked functions stay calls;
+# - _emit, as for compile_expression: one temporary per non-leaf node in
+#   evaluation post-order, a node already computed in the same stage
+#   reused, and _div, _pow and the checked functions kept as calls;
+# - k3 reuses the temporaries of k2 that do not depend on U (same
+#   midpoint); k4 and the next step's k1 share nothing, as t + h and
+#   t0 + (j+1)*h round differently;
 # - each stage sums 0.0 + P_i * d_i in coefficient order over the
 #   masked coefficients; positions are a_i + (t - k) * d_i.
 @lru_cache(maxsize=1024)
@@ -579,47 +606,19 @@ def _segment_kernel(shapes: tuple[tuple, ...], coords: tuple[str, ...],
     used: set[int] = set()
 
     def stage(number: int, u_name: str, memo: dict[tuple, tuple[str, bool]]) -> list[str]:
-        """Lines computing k<number>; memo maps computed nodes to their
-        temporaries and grows as nodes are emitted."""
-        lines: list[str] = []
+        """Lines computing k<number>; memo grows as nodes are emitted."""
+        def leaf(name: str) -> tuple[str, bool]:
+            if name == vertical:
+                return u_name, True
+            if name not in base:
+                raise ExpressionError(f"variable {name!r} is not a coordinate")
+            used.add(base[name])
+            return f"x{base[name]}", False
 
-        def emit(node: tuple) -> tuple[str, bool]:
-            """Text of the node's value and whether it depends on U."""
-            tag = node[0]
-            if tag == "c":
-                return repr(float.fromhex(node[1])), False
-            if tag == "v":
-                if node[1] == vertical:
-                    return u_name, True
-                if node[1] not in base:
-                    raise ExpressionError(f"variable {node[1]!r} is not a coordinate")
-                used.add(base[node[1]])
-                return f"x{base[node[1]]}", False
-            if node in memo:
-                return memo[node]
-            if tag == "neg":
-                arg, dep = emit(node[1])
-                code = f"-{arg}"
-            elif tag == "call":
-                arg, dep = emit(node[2])
-                code = f"_{node[1]}({arg})"
-            else:
-                (left, dep_l), (right, dep_r) = emit(node[1]), emit(node[2])
-                dep = dep_l or dep_r
-                if tag == "/":
-                    code = f"_div({left}, {right})"
-                elif tag == "^":
-                    code = f"_pow({left}, {right})"
-                else:
-                    code = f"{left} {tag} {right}"
-            name = f"e{number}_{len(lines)}"
-            lines.append(f"{name} = {code}")
-            memo[node] = (name, dep)
-            return memo[node]
-
-        total = " + ".join(["0.0"] + [f"{emit(shape)[0]} * {dv}" for shape, dv in terms])
-        lines.append(f"k{number} = {total}")
-        return lines
+        lines: list[tuple[str, str]] = []
+        total = " + ".join(["0.0"] + [f"{_emit(shape, leaf, memo, lines, f'e{number}_')[0]} * {dv}"
+                                      for shape, dv in terms])
+        return [f"{name} = {code}" for name, code in lines] + [f"k{number} = {total}"]
 
     def positions(t: str) -> list[str]:
         return [f"s = {t} - k"] + [f"x{i} = a{i} + s * d{i}" for i in sorted(used)]
@@ -641,19 +640,14 @@ def _segment_kernel(shapes: tuple[tuple, ...], coords: tuple[str, ...],
         "w = u + h * k3", *k4,
         "u = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)",
     ]
-    src = "\n".join([
-        "def _segment(a, d, k, u, n):",
-        "    " + "".join(f"a{i}, " for i in range(m)) + "= a",
-        "    " + "".join(f"d{i}, " for i in range(m)) + "= d",
-        "    t0 = float(k)",
-        "    h = (float(k + 1) - t0) / n",
-        "    half = 0.5 * h",
-        "    sixth = h / 6.0",
-        "    for j in range(n):",
-        *("        " + line for line in steps),
-        "    return u",
-        "",
+    return _define("_segment", "a, d, k, u, n", [
+        "".join(f"a{i}, " for i in range(m)) + "= a",
+        "".join(f"d{i}, " for i in range(m)) + "= d",
+        "t0 = float(k)",
+        "h = (float(k + 1) - t0) / n",
+        "half = 0.5 * h",
+        "sixth = h / 6.0",
+        "for j in range(n):",
+        *("    " + line for line in steps),
+        "return u",
     ])
-    namespace = dict(_COMPILE_GLOBALS)
-    exec(src, namespace)  # noqa: S102 - generated from a closed AST, no user code
-    return namespace["_segment"]

@@ -211,9 +211,12 @@ def _rhs(fns: Sequence[Callable[..., float]]) -> Callable[..., float]:
 # - the sum starts from 0.0 and adds terms in coefficient order;
 # - k1 is evaluated before the midpoint position, so where both would
 #   fail on a parametric curve the same EvalError comes first.
-# The generated kernel behind lift_endpoint (expr.segment_kernel) keeps
-# every one of these invariants on straight segments, with a zero-velocity
-# mask in place of the dvi != 0.0 skip, so the two paths agree bit for bit.
+# f calls coefficients built by compile_expression; the kernel behind
+# lift_endpoint (expr.segment_kernel) is written by the same emitter
+# (expr._emit), so both compute each coefficient by the same operations.
+# The kernel keeps every invariant above on straight segments, with a
+# zero-velocity mask in place of the dvi != 0.0 skip, so the two paths
+# agree bit for bit.
 def _rk4(f: Callable[..., float], seg: _Segment, u0: float, n: int,
          record: bool = False):
     position, velocity = seg.position, seg.velocity

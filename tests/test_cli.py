@@ -210,6 +210,28 @@ class TestCsvCells:
         assert all(len(row) == 6 for row in rows)
 
 
+class TestNonFiniteInput:
+    def _system(self, tmp_path, p):
+        path = tmp_path / "system.ini"
+        path.write_text(SYSTEM_INI.replace("P = -V2; 0", f"P = {p}; 0")
+                        .replace("nodes = 5", "nodes = 3"))
+        return str(path)
+
+    def test_nan_curvature_is_an_input_error(self, tmp_path, capsys):
+        system = self._system(tmp_path, "(1e200*1e200 - 1e200*1e200)*V2")
+        assert main(["check", "--file", system]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: evaluation failed at grid point "
+                       "{'U': -1.0, 'V1': -1.0, 'V2': -1.0}: F_12 is nan\n")
+
+    @pytest.mark.parametrize("command", ["check", "entropy"])
+    def test_infinite_constant_is_an_input_error(self, tmp_path, capsys, command):
+        assert main([command, "--file", self._system(tmp_path, "1e999*V2")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestSystemIO:
     def test_parse_system_file(self, system_file):
         setup = parse_system_file(system_file)

@@ -143,6 +143,16 @@ class TestFlatness:
         with pytest.raises(ConnectionError_, match="grid point"):
             flatness(system, REGION3, grid=3)
 
+    def test_nan_curvature_reports_point(self):
+        # max() would skip the nan and call this system flat
+        from heatgauge.bundle import WorkSystem
+        system = WorkSystem.build("nan", contact3().chart,
+                                  {"V1": "(1e200*1e200 - 1e200*1e200)*V2", "V2": "0"})
+        with pytest.raises(ConnectionError_) as info:
+            flatness(system, REGION3, grid=3)
+        assert str(info.value) == ("evaluation failed at grid point "
+                                   "{'U': -1.0, 'V1': -1.0, 'V2': -1.0}: F_12 is nan")
+
     def test_samples_and_summary(self):
         report = flatness(contact3(), REGION3, grid=3)
         assert len(report.samples) == 27

@@ -191,3 +191,51 @@ class TestImmutability:
         e = parse("x^2 + y")
         out = expr.substitute(e, {"x": parse("2*z")})
         assert evaluate(out, {"z": 3, "y": 1}) == 37.0
+
+
+def _outcome(f):
+    """float.hex of f(), or the text of the error it raises."""
+    try:
+        return f().hex()
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestCompiledBitForBit:
+    def test_compiled_equals_evaluate_bit_for_bit(self, rng):
+        # first and second derivatives share subtrees with each other and
+        # with the expression; every function below comes from a warm cache
+        coords = ("x", "y")
+        exprs = []
+        for _ in range(1000):
+            e = random_expression(rng, list(coords))
+            d = differentiate(e, "x")
+            exprs += [e, d, differentiate(d, "y")]
+        for e in exprs:
+            compile_expression(e, coords)
+        points = [random_point(rng, list(coords)) for _ in range(3)]
+        differ = []
+        for e in exprs:
+            fn = compile_expression(e, coords)
+            for p in points:
+                want = _outcome(lambda: evaluate(e, p))
+                got = _outcome(lambda: fn(p["x"], p["y"]))
+                if got != want:
+                    differ.append((unparse(e), p, want, got))
+        assert len(exprs) * len(points) == 9000
+        assert differ == []
+
+    def test_signed_zero_constants_compile_apart(self):
+        x = Var("x")
+        assert compile_expression(BinOp("+", x, Const(0.0)), ("x",))(-0.0).hex() == "0x0.0p+0"
+        minus = compile_expression(BinOp("+", x, Const(-0.0)), ("x",))
+        assert minus(-0.0).hex() == "-0x0.0p+0"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constants(self, value):
+        x = Var("x")
+        for e in (Const(value), Neg(Const(value)), BinOp("*", x, Const(value)),
+                  BinOp("-", Const(value), x)):
+            fn = compile_expression(e, ("x",))
+            for at in (-0.0, 0.0, 2.0):
+                assert _outcome(lambda: fn(at)) == _outcome(lambda: evaluate(e, {"x": at}))
