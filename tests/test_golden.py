@@ -10,6 +10,10 @@ import hashlib
 import math
 import random
 
+import pytest
+
+from heatgauge import expr
+
 from heatgauge.bundle import contact3, flat3, ideal_gas, wankel
 from heatgauge.cli import main
 from heatgauge.entropy import reconstruct
@@ -124,3 +128,80 @@ def test_contact3_entropy_cli_bytes(tmp_path, capsys):
         "07fef26eb4b06c0d8c50fc0574fbf24333e648ba02d60a3b5e42ae1987df8564")
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
         "eb316c0bf52da469bb1f0d23d2621bf6c2728bfa51dde6c9c20b22efd45d0676")
+
+
+# ---------------------------------------------------------------------------
+# heatgauge check: the summary text, the sampled grid and the first error
+
+def _potential_ini(path, m, f_inner, g, bump=None, nodes=3):
+    """A check input like the benchmark's symbolic systems: xi proportional
+    to dS for S = U*f(V) + g(V), with f = 1 + 0.2*sin(f_inner), so the
+    system is flat unless a bump is added to P_1."""
+    base = [f"V{i}" for i in range(1, m + 1)]
+    f = expr.add(expr.const(1.0), expr.mul(expr.const(0.2), expr.call("sin", expr.parse(f_inner))))
+    g = expr.parse(g)
+    u = expr.var("U")
+    coeffs = [expr.neg(expr.div(expr.add(expr.mul(u, expr.differentiate(f, c)),
+                                         expr.differentiate(g, c)), f)) for c in base]
+    if bump:
+        coeffs[0] = expr.add(coeffs[0], expr.parse(bump))
+    lines = ["[system]", "name = potential", "energy = U", f"base_coords = {', '.join(base)}",
+             "P = " + "; ".join(expr.unparse(p) for p in coeffs),
+             "", "[region]", "U = -1.0, 1.0", *(f"{c} = -0.6, 0.6" for c in base),
+             "", "[grid]", f"nodes = {nodes}"]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _check_hashes(tmp_path, capsys, ini):
+    csv_path = tmp_path / "check.csv"
+    code = main(["check", "--file", str(ini), "--csv", str(csv_path)])
+    stdout = capsys.readouterr().out
+    return (code, hashlib.sha256(stdout.encode()).hexdigest(),
+            hashlib.sha256(csv_path.read_bytes()).hexdigest())
+
+
+def test_check_flat_two_base_potential(tmp_path, capsys):
+    ini = _potential_ini(tmp_path / "flat2.ini", 2,
+                         "log(3 + sin((0.4 + 1.2*V1 - 0.8*V2)/(2.5 + sin(V2))))",
+                         "sqrt(3 + sin(sin(-0.3 + 0.9*V2 + 1.7*V1)))", nodes=5)
+    assert _check_hashes(tmp_path, capsys, ini) == (
+        0, "ab8fbf3a097d7820848e0cc0f429c231c1c82f531656756a14b77fcef03dee93",
+        "7fcfc0e48a5503dac7aeb7e2861a217eb0c5559d78771957cdfdebec267a28fb")
+
+
+def test_check_curved_four_base_potential(tmp_path, capsys):
+    ini = _potential_ini(tmp_path / "curved4.ini", 4,
+                         "sin(sqrt(3 + sin(0.1 - 1.5*V3 + 0.6*V1)))",
+                         "(0.2 + 0.5*V4 - 1.1*V2)/(2.5 + sin(V1))",
+                         bump="0.6*sin(1.3*V2)", nodes=2)
+    assert _check_hashes(tmp_path, capsys, ini) == (
+        2, "7934a3b441dd49ad92c3885fb50de54c590ed0a29fbc593136f6b1fa433e97ed",
+        "17d30cee2c159efb46ca93394db8600fe1717bf354b4c06dc640e16150642218")
+
+
+def test_check_one_base_has_no_components(tmp_path, capsys):
+    ini = tmp_path / "gas.ini"
+    ini.write_text("[system]\nname = gas\nbase_coords = V\nP = -2*U/(3*V)\n"
+                   "[region]\nU = 1, 2\nV = 1, 2\n[grid]\nnodes = 4\n")
+    assert _check_hashes(tmp_path, capsys, ini) == (
+        0, "bd4d1a50b09c40e3f6ec0a01ebbf5549f7a43a4295698eb644eff35476dbcb34",
+        "89aab8228a5c865c7bb7f008071304400e8ef7a8019f4d5e4f3e1934b25bb893")
+
+
+@pytest.mark.parametrize("coefficients, message", [
+    # F_12 fails only from node 6 on; F_13 fails at node 0, so node 0's error wins
+    ("U*V2; 1/(V2 + U); V1^0.5",
+     "{'U': -1.0, 'V1': -1.0, 'V2': -1.0, 'V3': -1.0}: negative base with non-integer exponent"),
+    # at node 0, F_12 and the defect fail with different errors; F_12 comes first
+    ("sqrt(V2 + U); U^0.5*V1",
+     "{'U': -1.0, 'V1': -1.0, 'V2': -1.0}: negative base with non-integer exponent"),
+])
+def test_check_first_error(tmp_path, capsys, coefficients, message):
+    base = [f"V{i}" for i in range(1, coefficients.count(";") + 2)]
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[system]\nname = bad\nbase_coords = " + ", ".join(base)
+                   + f"\nP = {coefficients}\n[region]\n"
+                   + "".join(f"{c} = -1, 1\n" for c in ["U", *base]) + "[grid]\nnodes = 3\n")
+    assert main(["check", "--file", str(ini)]) == 1
+    assert capsys.readouterr().err == f"error: evaluation failed at grid point {message}\n"
