@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from . import expr
-from .expr import Expression, compile_expression
+from .expr import Expression
 from .geometry import (DifferentialForm, VectorField, exterior_derivative,
                        wedge)
 from .bundle import WorkSystem
@@ -156,30 +156,30 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
         raise ConnectionError_(f"region missing coordinates {sorted(missing)}")
     matrix = curvature_matrix(system)
     defect = frobenius_defect(system)
-    f_compiled = [(key, compile_expression(e, chart.coords)) for key, e in matrix.pairs()]
-    d_compiled = [(idx, compile_expression(e, chart.coords)) for idx, e in defect.components]
+    f_keys = [key for key, _ in matrix.pairs()]
+    components = [e for _, e in matrix.pairs()] + [e for _, e in defect.components]
+    values_at = expr.compile_tuple(components, chart.coords)
     max_f = 0.0
     max_d = 0.0
     samples = []
-    columns = chart.coords + tuple(f"F_{i}{j}" for (i, j), _ in f_compiled) \
-        + tuple("defect_" + "_".join(idx) for idx, _ in d_compiled)
+    columns = chart.coords + tuple(f"F_{i}{j}" for i, j in f_keys) \
+        + tuple("defect_" + "_".join(idx) for idx, _ in defect.components)
     for node in grid_points(region, chart.coords, grid):
         try:
-            f_vals = [fn(*node) for _, fn in f_compiled]
-            d_vals = [fn(*node) for _, fn in d_compiled]
+            values = values_at(*node)
         except expr.EvalError as exc:
             point = dict(zip(chart.coords, node))
             raise ConnectionError_(f"evaluation failed at grid point {point}: {exc}") from exc
-        for name, v in zip(columns[len(node):], f_vals + d_vals):
+        for name, v in zip(columns[len(node):], values):
             if v != v:  # nan, which max() below would pass over
                 point = dict(zip(chart.coords, node))
                 raise ConnectionError_(f"evaluation failed at grid point {point}: {name} is nan")
-        for v in f_vals:
+        for v in values[:len(f_keys)]:
             max_f = max(max_f, abs(v))
-        for v in d_vals:
+        for v in values[len(f_keys):]:
             max_d = max(max_d, abs(v))
         if collect_samples:
-            samples.append(node + tuple(f_vals) + tuple(d_vals))
+            samples.append(node + values)
     return FlatnessReport(
         system_name=system.name,
         region={c: tuple(region[c]) for c in chart.coords},

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 
 class ExpressionError(Exception):
@@ -389,80 +389,107 @@ def substitute(e: Expression, bindings: Mapping[str, Expression]) -> Expression:
 
 
 def differentiate(e: Expression, coord: str) -> Expression:
-    """Exact symbolic partial derivative with respect to a coordinate."""
+    """Exact symbolic partial derivative with respect to a coordinate.
+
+    Equal subtrees (by _shape) are differentiated once per call, and their
+    derivatives are shared.
+    """
+    return _derivative(e, coord, {})
+
+
+def _derivative(e: Expression, coord: str, memo: dict[tuple, Expression]) -> Expression:
     if isinstance(e, Const):
         return const(0.0)
     if isinstance(e, Var):
         return const(1.0) if e.name == coord else const(0.0)
+    key = _shape(e)
+    d = memo.get(key)
+    if d is not None:
+        return d
     if isinstance(e, Neg):
-        return neg(differentiate(e.arg, coord))
-    if isinstance(e, BinOp):
-        da = differentiate(e.left, coord)
-        db = differentiate(e.right, coord)
+        d = neg(_derivative(e.arg, coord, memo))
+    elif isinstance(e, BinOp):
+        da = _derivative(e.left, coord, memo)
+        db = _derivative(e.right, coord, memo)
         a, b = e.left, e.right
         if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, b), mul(a, db))
-        if e.op == "/":
-            return div(sub(mul(da, b), mul(a, db)), mul(b, b))
+            d = add(da, db)
+        elif e.op == "-":
+            d = sub(da, db)
+        elif e.op == "*":
+            d = add(mul(da, b), mul(a, db))
+        elif e.op == "/":
+            d = div(sub(mul(da, b), mul(a, db)), mul(b, b))
         # power: constant exponent gets the power rule, otherwise the
         # general rule via the logarithm (real-valued for positive base)
-        if isinstance(b, Const):
-            return mul(mul(b, pow_(a, const(b.value - 1.0))), da)
-        return mul(pow_(a, b), add(mul(db, call("log", a)), div(mul(b, da), a)))
-    if isinstance(e, Call):
+        elif isinstance(b, Const):
+            d = mul(mul(b, pow_(a, const(b.value - 1.0))), da)
+        else:
+            d = mul(pow_(a, b), add(mul(db, call("log", a)), div(mul(b, da), a)))
+    elif isinstance(e, Call):
         x = e.arg
-        dx = differentiate(x, coord)
+        dx = _derivative(x, coord, memo)
         if e.func == "sin":
-            return mul(call("cos", x), dx)
-        if e.func == "cos":
-            return neg(mul(call("sin", x), dx))
-        if e.func == "tan":
+            d = mul(call("cos", x), dx)
+        elif e.func == "cos":
+            d = neg(mul(call("sin", x), dx))
+        elif e.func == "tan":
             c = call("cos", x)
-            return div(dx, mul(c, c))
-        if e.func == "exp":
-            return mul(e, dx)
-        if e.func == "log":
-            return div(dx, x)
-        if e.func == "sqrt":
-            return div(dx, mul(const(2.0), call("sqrt", x)))
-        if e.func == "abs":
-            return mul(div(x, call("abs", x)), dx)
-    raise ExpressionError(f"not an expression node: {e!r}")
+            d = div(dx, mul(c, c))
+        elif e.func == "exp":
+            d = mul(e, dx)
+        elif e.func == "log":
+            d = div(dx, x)
+        elif e.func == "sqrt":
+            d = div(dx, mul(const(2.0), call("sqrt", x)))
+        elif e.func == "abs":
+            d = mul(div(x, call("abs", x)), dx)
+    if d is None:
+        raise ExpressionError(f"not an expression node: {e!r}")
+    memo[key] = d
+    return d
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
 def unparse(e: Expression) -> str:
-    """Render the expression as parseable text."""
+    """Render the expression as parseable text.
 
-    def go(node: Expression, parent_prec: int) -> str:
-        if isinstance(node, Const):
-            v = node.value
-            return repr(v) if v >= 0 else f"({v!r})"
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Neg):
-            text = f"-{go(node.arg, _PREC['neg'])}"
-            return f"({text})" if parent_prec > _PREC["neg"] else text
-        if isinstance(node, Call):
-            return f"{node.func}({go(node.arg, 0)})"
+    Each distinct node is rendered once per call, however often it is shared.
+    """
+    return _unparse(e, {})[0]
+
+
+def _unparse(node: Expression, memo: dict[int, tuple[str, int]]) -> tuple[str, int]:
+    """node's text without enclosing parentheses, and its precedence;
+    memo maps id(node) to that pair."""
+    done = memo.get(id(node))
+    if done is not None:
+        return done
+    if isinstance(node, Const):
+        v = node.value
+        done = (repr(v) if v >= 0 else f"({v!r})"), _PREC["atom"]
+    elif isinstance(node, Var):
+        done = node.name, _PREC["atom"]
+    elif isinstance(node, Neg):
+        done = f"-{_operand(node.arg, _PREC['neg'], memo)}", _PREC["neg"]
+    elif isinstance(node, Call):
+        done = f"{node.func}({_unparse(node.arg, memo)[0]})", _PREC["atom"]
+    else:
         prec = _PREC[node.op]
-        if node.op == "^":
-            # right-associative
-            left = go(node.left, prec + 1)
-            right = go(node.right, prec)
+        if node.op == "^":  # right-associative
+            left, right = _operand(node.left, prec + 1, memo), _operand(node.right, prec, memo)
         else:
-            left = go(node.left, prec)
-            right = go(node.right, prec + 1)
-        text = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
-        return f"({text})" if parent_prec > prec else text
+            left, right = _operand(node.left, prec, memo), _operand(node.right, prec + 1, memo)
+        done = (f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"), prec
+    memo[id(node)] = done
+    return done
 
-    return go(e, 0)
+
+def _operand(node: Expression, parent_prec: int, memo: dict[int, tuple[str, int]]) -> str:
+    text, prec = _unparse(node, memo)
+    return f"({text})" if parent_prec > prec else text
 
 
 # ---------------------------------------------------------------------------
@@ -547,19 +574,47 @@ def compile_expression(e: Expression, coords: tuple[str, ...]) -> Callable[..., 
     try:
         return _compile(_shape(e), tuple(coords))
     except KeyError:  # a variable with no slot
-        unknown = sorted(variables(e) - set(coords))
-        raise ExpressionError(f"unbound variables {unknown} for coordinates {list(coords)}") from None
+        raise _unbound([e], coords) from None
+
+
+def compile_tuple(expressions: Sequence[Expression],
+                  coords: tuple[str, ...]) -> Callable[..., tuple[float, ...]]:
+    """Compile several expressions into one function that returns their
+    values as a tuple, computing the subexpressions they share once.
+
+    The expressions are computed in order, so values and the first
+    EvalError match evaluate() on each in turn, bit for bit. Shares
+    compile_expression's cache, keyed by the expressions' structural keys.
+    """
+    try:
+        return _compile(("tuple", *map(_shape, expressions)), tuple(coords))
+    except KeyError:
+        raise _unbound(expressions, coords) from None
+
+
+def _unbound(expressions: Sequence[Expression], coords: tuple[str, ...]) -> ExpressionError:
+    unknown = sorted(set().union(*map(variables, expressions)) - set(coords))
+    return ExpressionError(f"unbound variables {unknown} for coordinates {list(coords)}")
 
 
 @lru_cache(maxsize=4096)
 def _compile(shape: tuple, coords: tuple[str, ...]) -> Callable[..., float]:
+    """The function for one shape, or, for ("tuple", *shapes), the tuple of
+    their values from one function with one memo."""
     slots = {c: f"_x{i}" for i, c in enumerate(coords)}
     lines: list[tuple[str, str]] = []
-    root, _ = _emit(shape, lambda name: (slots[name], False), {}, lines, "e")
-    if lines:
-        root = lines.pop()[1]  # the root node's code, returned directly
+    memo: dict[tuple, tuple[str, bool]] = {}
+    is_tuple = shape[0] == "tuple"
+    roots = [_emit(item, lambda name: (slots[name], False), memo, lines, "e")[0]
+             for item in (shape[1:] if is_tuple else (shape,))]
+    if is_tuple:
+        result = "(" + "".join(f"{root}, " for root in roots) + ")"
+    elif lines:
+        result = lines.pop()[1]  # the root node's code, returned directly
+    else:
+        result = roots[0]
     return _define("_compiled", ", ".join(slots[c] for c in coords),
-                   [f"{name} = {code}" for name, code in lines] + [f"return {root}"])
+                   [f"{name} = {code}" for name, code in lines] + [f"return {result}"])
 
 
 compile_expression.cache_info = _compile.cache_info
