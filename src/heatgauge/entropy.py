@@ -235,8 +235,7 @@ def _path_dependence(system: WorkSystem, region: Region, ref: Sequence[float],
                               step_tol=lift_tol)
         ub, _ = lift_endpoint(system, _staircase(corner, ref, backward), u_mid,
                               step_tol=lift_tol)
-        # np.float64 keeps the type and repr of the reported path dependence
-        worst = max(worst, abs(np.float64(ua) - np.float64(ub)))
+        worst = max(worst, abs(ua - ub))
     return worst
 
 

@@ -253,16 +253,17 @@ def _integrate_segment(run: Callable[[int, bool], tuple], span: float, step_tol:
     of a result that may be kept. n starts at 8 and doubles, at most
     MAX_HALVINGS times, until the n- and 2n-step heights agree to
     step_tol per unit parameter; fixed_steps skips the adaptivity.
-    Returns the kept run, its step count and its error estimate.
+    Returns the kept run, its step count and its error estimate. A nan
+    height ends the segment at once: no step count would converge.
     """
     try:
         if fixed_steps is not None:
             n = max(2, fixed_steps)
-            return run(n, True), n, 0.0
+            return _not_nan(run(n, True), index), n, 0.0
         n = 8
-        coarse = run(n, False)[0]
+        coarse = _not_nan(run(n, False), index)[0]
         for _ in range(MAX_HALVINGS):
-            fine = run(2 * n, True)
+            fine = _not_nan(run(2 * n, True), index)
             diff = abs(fine[0] - coarse)
             if diff <= step_tol * max(abs(span), 1e-300):
                 return fine, 2 * n, diff
@@ -271,6 +272,13 @@ def _integrate_segment(run: Callable[[int, bool], tuple], span: float, step_tol:
     except expr.EvalError as exc:
         raise LiftError(f"domain error during lift on segment {index}: {exc}") from exc
     raise LiftError(f"no convergence after {MAX_HALVINGS} halvings on segment {index}")
+
+
+def _not_nan(result: tuple, index: int) -> tuple:
+    """result, unless its end height is nan."""
+    if result[0] != result[0]:
+        raise LiftError(f"lift height is nan on segment {index}")
+    return result
 
 
 def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,

@@ -3,7 +3,8 @@
 bench/tracing.py wraps the functions it lists in TRACED and counts
 coefficient evaluations through heatgauge.lift.compile_expression;
 bench/run.py clears and reads the compile cache. A rename or a lost
-cache API would crash every bench run, so these names must resolve.
+cache API would crash every bench run, so these names must resolve, and
+clearing the cache must clear every compiled function.
 bench/ is only read here.
 """
 import importlib
@@ -12,6 +13,8 @@ import os
 import pytest
 
 from heatgauge import expr, lift
+from heatgauge.bundle import contact3
+from heatgauge.connection import flatness
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -40,3 +43,13 @@ def test_compile_cache_api():
     expr.compile_expression(expr.parse("x + 1"), ("x",))
     info = expr.compile_expression.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_cache_clear_covers_flatness():
+    # bench/run.py clears the cache so that every timed pass starts cold;
+    # the functions flatness compiles must be in that one cache
+    expr.compile_expression.cache_clear()
+    flatness(contact3(), {"U": (-1, 1), "V1": (-1, 1), "V2": (-1, 1)}, grid=2)
+    assert expr.compile_expression.cache_info().currsize == 1
+    expr.compile_expression.cache_clear()
+    assert expr.compile_expression.cache_info().currsize == 0

@@ -231,6 +231,11 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_nan_lift_is_named(self, tmp_path, capsys):
+        assert main(["entropy", "--file", self._system(tmp_path, "1e999*V2")]) == 1
+        assert capsys.readouterr().err == (
+            "error: lift failure during reconstruction: lift height is nan on segment 0\n")
+
 
 class TestSystemIO:
     def test_parse_system_file(self, system_file):

@@ -88,6 +88,13 @@ class TestCurvedSystem:
         assert not report.passed
         assert "PATH DEPENDENT" in report.summary()
 
+    @pytest.mark.parametrize("system", [contact3, flat3])
+    def test_path_dependence_is_a_plain_float(self, system):
+        # numpy scalars would print as np.float64(...) and np.False_
+        chart = reconstruct(system(), REF3, REGION3, grid=3)
+        assert type(chart.path_dependence) is float
+        assert type(chart.path_dependent) is bool
+
 
 class TestZeroWork:
     def test_entropy_is_u(self):

@@ -1,12 +1,13 @@
 import math
 import random
+import weakref
 
 import pytest
 
 from heatgauge import expr
 from heatgauge.expr import (BinOp, Call, Const, EvalError, Neg, ParseError, Var,
-                            compile_expression, differentiate, evaluate, parse,
-                            unparse)
+                            compile_expression, compile_tuple, differentiate,
+                            evaluate, parse, unparse)
 
 from conftest import random_expression, random_point
 
@@ -201,16 +202,31 @@ def _outcome(f):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _expressions_and_derivatives(rng, coords, count):
+    """count random expressions, each followed by its first and second
+    derivatives; the three share subtrees with each other."""
+    exprs = []
+    for _ in range(count):
+        e = random_expression(rng, list(coords))
+        d = differentiate(e, "x")
+        exprs += [e, d, differentiate(d, "y")]
+    return exprs
+
+
+def _in_order(exprs, p):
+    """float.hex of each expression's value, or the text of the first error."""
+    try:
+        return tuple(evaluate(e, p).hex() for e in exprs)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestCompiledBitForBit:
     def test_compiled_equals_evaluate_bit_for_bit(self, rng):
         # first and second derivatives share subtrees with each other and
         # with the expression; every function below comes from a warm cache
         coords = ("x", "y")
-        exprs = []
-        for _ in range(1000):
-            e = random_expression(rng, list(coords))
-            d = differentiate(e, "x")
-            exprs += [e, d, differentiate(d, "y")]
+        exprs = _expressions_and_derivatives(rng, coords, 1000)
         for e in exprs:
             compile_expression(e, coords)
         points = [random_point(rng, list(coords)) for _ in range(3)]
@@ -224,6 +240,69 @@ class TestCompiledBitForBit:
                     differ.append((unparse(e), p, want, got))
         assert len(exprs) * len(points) == 9000
         assert differ == []
+
+    def test_tuple_equals_evaluate_in_order(self, rng):
+        # three expressions and their derivatives per function, so most
+        # nodes are shared between components, plus a log and a sqrt of two
+        # of them, which fail on about half the points
+        coords = ("x", "y")
+        exprs = _expressions_and_derivatives(rng, coords, 1002)
+        groups = []
+        for k in range(0, len(exprs), 9):
+            group = exprs[k:k + 9]
+            groups.append(group[:4] + [Call("log", group[3])] + group[4:]
+                          + [Call("sqrt", group[0])])
+        points = [random_point(rng, list(coords), -3.0, 3.0) for _ in range(3)]
+        differ = []
+        errors = 0
+        for group in groups:
+            fn = compile_tuple(group, coords)
+            for p in points:
+                want = _in_order(group, p)
+                try:
+                    got = tuple(v.hex() for v in fn(p["x"], p["y"]))
+                except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+                    got = f"{type(exc).__name__}: {exc}"
+                errors += isinstance(want, str)
+                if got != want:
+                    differ.append((unparse(group[0]), p, want, got))
+        assert len(groups) * len(points) == 1002
+        assert 100 < errors < 900  # first errors are compared as well as values
+        assert differ == []
+
+    def test_tuple_first_error_is_the_first_component_to_fail(self):
+        x = Var("x")
+        log, sqrt = Call("log", x), Call("sqrt", x)
+        # log(x) is computed inside the first component, after sqrt(x)
+        fn = compile_tuple([BinOp("+", sqrt, log), log, BinOp("/", Const(1.0), x)], ("x",))
+        with pytest.raises(EvalError, match="^sqrt of negative value$"):
+            fn(-1.0)
+        with pytest.raises(EvalError, match="^log of non-positive value$"):
+            fn(0.0)
+        fn = compile_tuple([log, BinOp("+", sqrt, log)], ("x",))
+        with pytest.raises(EvalError, match="^log of non-positive value$"):
+            fn(-1.0)
+
+    def test_empty_tuple(self):
+        assert compile_tuple([], ("x", "y"))(1.0, 2.0) == ()
+        assert compile_tuple([], ())() == ()
+
+    def test_tuple_unbound_variable(self):
+        with pytest.raises(expr.ExpressionError, match=r"unbound variables \['z'\]"):
+            compile_tuple([parse("x"), parse("x*z")], ("x",))
+
+    def test_differentiate_and_unparse_keep_no_reference_to_their_input(self):
+        e = parse("sin(x*y)/(x + 2) + exp(sin(x*y)) + x^y")
+        nodes = []
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            nodes.append(weakref.ref(node))
+            stack += [getattr(node, f) for f in ("arg", "left", "right") if hasattr(node, f)]
+        differentiate(e, "x")
+        unparse(e)
+        del e, node
+        assert [ref for ref in nodes if ref() is not None] == []
 
     def test_signed_zero_constants_compile_apart(self):
         x = Var("x")

@@ -86,7 +86,7 @@ def test_criterion_3_first_flat_system_report():
         "EquivalenceReport(residual_pass=True, flatness_pass=True, holonomy_pass=True, "
         "residual_summary=ResidualSummary(max_residual=1.1055473203569477e-10, "
         "mean_residual=3.331261228160093e-11, tolerance=1e-06, "
-        "path_dependence=np.float64(6.605826996519681e-14), path_dependent=np.False_, "
+        "path_dependence=6.605826996519681e-14, path_dependent=False, "
         "passed=True), max_holonomy=2.262273701703066e-12, holonomy_tol=1e-07)")
 
 
@@ -116,7 +116,7 @@ def test_criterion_3_first_curved_system_report():
         "EquivalenceReport(residual_pass=False, flatness_pass=False, holonomy_pass=False, "
         "residual_summary=ResidualSummary(max_residual=0.10663708297272376, "
         "mean_residual=0.08809905622287569, tolerance=1e-06, "
-        "path_dependence=np.float64(0.13507004239565654), path_dependent=np.True_, "
+        "path_dependence=0.13507004239565654, path_dependent=True, "
         "passed=False), max_holonomy=0.04965150770895654, holonomy_tol=1e-07)")
 
 
@@ -125,7 +125,7 @@ def test_contact3_entropy_cli_bytes(tmp_path, capsys):
     assert main(["entropy", "--system", "contact3", "--csv", str(csv_path)]) == 2
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == (
-        "07fef26eb4b06c0d8c50fc0574fbf24333e648ba02d60a3b5e42ae1987df8564")
+        "3ee01c0f934578dd78f7aa1e26b90860b24eb853f0af65794fa75152d0f52676")
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
         "eb316c0bf52da469bb1f0d23d2621bf6c2728bfa51dde6c9c20b22efd45d0676")
 

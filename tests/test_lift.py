@@ -7,8 +7,8 @@ import pytest
 from heatgauge.bundle import (WorkSystem, contact3, flat3, ideal_gas, wankel,
                               zero_work)
 from heatgauge.lift import (MAX_HALVINGS, BaseCurve, CurveError, LiftError,
-                            commutator_probe, lift_curve, loop_holonomy,
-                            square_loop, work_integral)
+                            commutator_probe, lift_curve, lift_endpoint,
+                            loop_holonomy, square_loop, work_integral)
 
 CHART3 = contact3().chart
 
@@ -122,6 +122,18 @@ class TestLiftCurve:
                            match=f"no convergence after {MAX_HALVINGS} halvings on segment 0"):
             lift_curve(system, curve, 1e8)
         assert time.perf_counter() - start < 10.0
+
+    @pytest.mark.parametrize("fixed_steps", [None, 4])
+    def test_nan_height_ends_the_lift(self, fixed_steps):
+        # P_V1 = inf*V2 is nan on V2 = 0; the second segment goes nan
+        system = WorkSystem.build("nan", CHART3, {"V1": "1e999*V2", "V2": "0"})
+        points = [(0.0, 1.0), (0.0, 0.0), (0.5, 0.0)]
+        start = time.perf_counter()
+        with pytest.raises(LiftError, match="^lift height is nan on segment 1$"):
+            lift_curve(system, BaseCurve.polyline(CHART3, points), 0.0, fixed_steps=fixed_steps)
+        with pytest.raises(LiftError, match="^lift height is nan on segment 1$"):
+            lift_endpoint(system, points, 0.0, fixed_steps=fixed_steps)
+        assert time.perf_counter() - start < 1.0
 
     def test_coefficient_skipped_where_its_velocity_is_zero(self):
         # P_V1 = sqrt(V2) is undefined at V2 < 0, but this path never moves V1
