@@ -237,6 +237,20 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.i = 0
+        self.nodes: dict[tuple, Expression] = {}
+
+    def node(self, cls: type, *fields) -> Expression:
+        """cls(*fields), or the equal node this parse already made.
+
+        Children are such shared nodes already, so they are keyed by
+        identity; names and numbers are keyed by value (a parsed number is
+        never -0.0 or nan).
+        """
+        key = (cls, *(f if isinstance(f, (str, float)) else id(f) for f in fields))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+        return node
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -258,7 +272,7 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.next()
-                node = BinOp(text, node, self.parse_term())
+                node = self.node(BinOp, text, node, self.parse_term())
             else:
                 return node
 
@@ -268,7 +282,7 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind == "op" and text in "*/":
                 self.next()
-                node = BinOp(text, node, self.parse_unary())
+                node = self.node(BinOp, text, node, self.parse_unary())
             else:
                 return node
 
@@ -276,7 +290,7 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.next()
-            return Neg(self.parse_unary())
+            return self.node(Neg, self.parse_unary())
         return self.parse_power()
 
     def parse_power(self) -> Expression:
@@ -285,13 +299,13 @@ class _Parser:
         if kind == "op" and text == "^":
             self.next()
             # right-associative; exponent may carry a unary minus
-            return BinOp("^", base, self.parse_unary())
+            return self.node(BinOp, "^", base, self.parse_unary())
         return base
 
     def parse_atom(self) -> Expression:
         kind, text, off = self.next()
         if kind == "num":
-            return Const(float(text))
+            return self.node(Const, float(text))
         if kind == "name":
             nk, nt, _ = self.peek()
             if nk == "op" and nt == "(":
@@ -300,8 +314,8 @@ class _Parser:
                 self.next()
                 arg = self.parse_expression()
                 self.expect_op(")")
-                return Call(text, arg)
-            return Var(text)
+                return self.node(Call, text, arg)
+            return self.node(Var, text)
         if kind == "op" and text == "(":
             node = self.parse_expression()
             self.expect_op(")")
@@ -310,7 +324,11 @@ class _Parser:
 
 
 def parse(source: str) -> Expression:
-    """Parse expression text into an AST."""
+    """Parse expression text into an AST.
+
+    Equal subtrees are parsed into one shared node, so text that repeats a
+    subexpression gives a DAG no larger than its distinct subexpressions.
+    """
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(source))
@@ -391,18 +409,19 @@ def substitute(e: Expression, bindings: Mapping[str, Expression]) -> Expression:
 def differentiate(e: Expression, coord: str) -> Expression:
     """Exact symbolic partial derivative with respect to a coordinate.
 
-    Equal subtrees (by _shape) are differentiated once per call, and their
-    derivatives are shared.
+    A node shared in e is differentiated once per call, and its derivative
+    is shared in the result.
     """
     return _derivative(e, coord, {})
 
 
-def _derivative(e: Expression, coord: str, memo: dict[tuple, Expression]) -> Expression:
+def _derivative(e: Expression, coord: str, memo: dict[int, Expression]) -> Expression:
+    """d e / d coord; memo maps id(node) to the derivative of node."""
     if isinstance(e, Const):
         return const(0.0)
     if isinstance(e, Var):
         return const(1.0) if e.name == coord else const(0.0)
-    key = _shape(e)
+    key = id(e)
     d = memo.get(key)
     if d is not None:
         return d

@@ -24,6 +24,14 @@ class TestParse:
         assert parse("1 + 0.5*cos(theta)") == BinOp(
             "+", Const(1.0), BinOp("*", Const(0.5), Call("cos", Var("theta"))))
 
+    def test_equal_subtrees_are_one_node(self):
+        e = parse("sin(x*y)/(2 + x*y) - sin(x*y)")
+        assert e.left.left is e.right
+        assert e.left.left.arg is e.left.right.right
+        assert e == BinOp("-", BinOp("/", Call("sin", BinOp("*", Var("x"), Var("y"))),
+                                     BinOp("+", Const(2.0), BinOp("*", Var("x"), Var("y")))),
+                          Call("sin", BinOp("*", Var("x"), Var("y"))))
+
     def test_power_right_assoc(self):
         assert parse("2^3^2") == BinOp("^", Const(2.0), BinOp("^", Const(3.0), Const(2.0)))
         assert evaluate(parse("2^3^2"), {}) == 512.0
