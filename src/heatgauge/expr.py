@@ -538,14 +538,22 @@ def _shape(e: Expression) -> tuple:
     return shape
 
 
+_CHECKED_OPS = {"/": "div", "^": "pow"}
+
+
 def _emit(root: tuple, leaf: Callable[[str], tuple[str, bool]],
-          memo: dict[tuple, tuple[str, bool]], lines: list[tuple[str, str]],
+          memo: dict[int | str, tuple[str, bool]], lines: list[tuple[str, str]],
           prefix: str) -> tuple[str, bool]:
     """Append (temporary, code) to lines for each non-leaf node of root,
     in evaluation post-order, and return the root's text and whether it
     varies. leaf(name) gives a variable's text and whether it varies; a
-    node varies if a leaf under it does. A node in memo (node -> result)
-    is reused, and memo grows as nodes are emitted.
+    node varies if a leaf under it does.
+
+    memo grows as nodes are emitted. It maps each node's code to the
+    node's result: a node's code is written in its operands' temporaries,
+    so equal code means an equal node, which reuses that temporary. It
+    also maps id(node) to the result, so a key shared by identity is
+    walked once; those nodes must outlive memo.
     """
 
     def go(node: tuple) -> tuple[str, bool]:
@@ -555,8 +563,9 @@ def _emit(root: tuple, leaf: Callable[[str], tuple[str, bool]],
             return (repr(value) if math.isfinite(value) else f"float('{value!r}')"), False
         if tag == "v":
             return leaf(node[1])
-        if node in memo:
-            return memo[node]
+        done = memo.get(id(node))
+        if done is not None:
+            return done
         if tag == "neg":
             arg, varies = go(node[1])
             code = f"-{arg}"
@@ -566,11 +575,14 @@ def _emit(root: tuple, leaf: Callable[[str], tuple[str, bool]],
         else:
             (left, left_varies), (right, right_varies) = go(node[1]), go(node[2])
             varies = left_varies or right_varies
-            func = {"/": "div", "^": "pow"}.get(tag)
+            func = _CHECKED_OPS.get(tag)
             code = f"_{func}({left}, {right})" if func else f"{left} {tag} {right}"
-        memo[node] = (f"{prefix}{len(lines)}", varies)
-        lines.append((memo[node][0], code))
-        return memo[node]
+        done = memo.get(code)
+        if done is None:
+            done = memo[code] = (f"{prefix}{len(lines)}", varies)
+            lines.append((done[0], code))
+        memo[id(node)] = done
+        return done
 
     return go(root)
 
@@ -622,7 +634,7 @@ def _compile(shape: tuple, coords: tuple[str, ...]) -> Callable[..., float]:
     their values from one function with one memo."""
     slots = {c: f"_x{i}" for i, c in enumerate(coords)}
     lines: list[tuple[str, str]] = []
-    memo: dict[tuple, tuple[str, bool]] = {}
+    memo: dict[int | str, tuple[str, bool]] = {}
     is_tuple = shape[0] == "tuple"
     roots = [_emit(item, lambda name: (slots[name], False), memo, lines, "e")[0]
              for item in (shape[1:] if is_tuple else (shape,))]
@@ -679,7 +691,7 @@ def _segment_kernel(shapes: tuple[tuple, ...], coords: tuple[str, ...],
     terms = [(shape, f"d{i}") for i, (shape, on) in enumerate(zip(shapes, mask)) if on]
     used: set[int] = set()
 
-    def stage(number: int, u_name: str, memo: dict[tuple, tuple[str, bool]]) -> list[str]:
+    def stage(number: int, u_name: str, memo: dict[int | str, tuple[str, bool]]) -> list[str]:
         """Lines computing k<number>; memo grows as nodes are emitted."""
         def leaf(name: str) -> tuple[str, bool]:
             if name == vertical:
@@ -699,9 +711,9 @@ def _segment_kernel(shapes: tuple[tuple, ...], coords: tuple[str, ...],
 
     # the stages come first: the positions need the set of base coordinates used
     k1 = stage(1, "u", {})
-    midpoint: dict[tuple, tuple[str, bool]] = {}
+    midpoint: dict[int | str, tuple[str, bool]] = {}
     k2 = stage(2, "w", midpoint)
-    k3 = stage(3, "w", {node: v for node, v in midpoint.items() if not v[1]})
+    k3 = stage(3, "w", {key: v for key, v in midpoint.items() if not v[1]})
     k4 = stage(4, "w", {})
     m = len(coords) - 1
     steps = [
