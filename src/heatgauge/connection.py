@@ -147,6 +147,7 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
 
     The verdict is flat iff the grid maximum of |F_ij| is below tol; the
     defect maximum is reported alongside as the integrability cross-check.
+    All components are compiled into one function (expr.compile_tuple).
     A component that fails to evaluate, or is nan, at a grid point raises
     ConnectionError_ naming the point.
     """

@@ -3,11 +3,15 @@
 Small closed-form expression language used everywhere else in the package:
 a recursive-descent parser, exact symbolic partial derivatives, pointwise
 evaluation with real-domain checking, and compilation to plain Python
-functions. One emitter (_emit) writes straight-line code with one
-temporary per distinct node for both targets: one function per expression
-(compile_expression) and one RK4 kernel per system and straight-segment
-velocity pattern (segment_kernel). Both caches key on one structural key
-(_shape) that tells signed zeros apart.
+functions. The passes work at DAG size: parse shares equal subtrees, and
+differentiate and unparse handle a shared node once per call. One emitter
+(_emit) writes straight-line code with one temporary per distinct node for
+three targets: one function per expression (compile_expression), one
+function returning several expressions' values as a tuple (compile_tuple,
+one per flatness check) and one RK4 kernel per system and straight-segment
+velocity pattern (segment_kernel). The caches key on one structural key
+(_shape) that tells signed zeros apart; compile_expression and
+compile_tuple share one cache.
 
 Supported grammar: +, -, *, /, ^ (right associative), unary minus,
 parentheses, and the functions sin, cos, tan, exp, log, sqrt, abs.
@@ -552,8 +556,8 @@ def _emit(root: tuple, leaf: Callable[[str], tuple[str, bool]],
     memo grows as nodes are emitted. It maps each node's code to the
     node's result: a node's code is written in its operands' temporaries,
     so equal code means an equal node, which reuses that temporary. It
-    also maps id(node) to the result, so a key shared by identity is
-    walked once; those nodes must outlive memo.
+    also maps id(node) to the result, so that a node reached again by
+    identity is not walked again; such nodes must outlive memo.
     """
 
     def go(node: tuple) -> tuple[str, bool]:
