@@ -486,7 +486,8 @@ def unparse(e: Expression) -> str:
 
 def _unparse(node: Expression, memo: dict[int, tuple[str, int]]) -> tuple[str, int]:
     """node's text without enclosing parentheses, and its precedence;
-    memo maps id(node) to that pair."""
+    memo maps id(node) to that pair. It recurses once per level of
+    nesting, so it reaches as deep as the other recursive passes."""
     done = memo.get(id(node))
     if done is not None:
         return done
@@ -496,22 +497,24 @@ def _unparse(node: Expression, memo: dict[int, tuple[str, int]]) -> tuple[str, i
     elif isinstance(node, Var):
         done = node.name, _PREC["atom"]
     elif isinstance(node, Neg):
-        done = f"-{_operand(node.arg, _PREC['neg'], memo)}", _PREC["neg"]
+        done = f"-{_operand(_unparse(node.arg, memo), _PREC['neg'])}", _PREC["neg"]
     elif isinstance(node, Call):
         done = f"{node.func}({_unparse(node.arg, memo)[0]})", _PREC["atom"]
     else:
         prec = _PREC[node.op]
+        left, right = _unparse(node.left, memo), _unparse(node.right, memo)
         if node.op == "^":  # right-associative
-            left, right = _operand(node.left, prec + 1, memo), _operand(node.right, prec, memo)
+            left, right = _operand(left, prec + 1), _operand(right, prec)
         else:
-            left, right = _operand(node.left, prec, memo), _operand(node.right, prec + 1, memo)
+            left, right = _operand(left, prec), _operand(right, prec + 1)
         done = (f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"), prec
     memo[id(node)] = done
     return done
 
 
-def _operand(node: Expression, parent_prec: int, memo: dict[int, tuple[str, int]]) -> str:
-    text, prec = _unparse(node, memo)
+def _operand(rendered: tuple[str, int], parent_prec: int) -> str:
+    """Text of a rendered operand, in parentheses if it binds looser than its parent."""
+    text, prec = rendered
     return f"({text})" if parent_prec > prec else text
 
 

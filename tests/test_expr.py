@@ -185,6 +185,11 @@ class TestUnparse:
                     continue
                 assert evaluate(reparsed, p) == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
+    def test_deep_sum_round_trips(self):
+        # a 700-term sum nests 700 levels deep
+        text = " + ".join(["x*y"] * 700)
+        assert unparse(parse(text)) == text
+
     def test_negative_constant_parses(self):
         e = expr.const(-3.5)
         assert evaluate(parse(unparse(e)), {}) == -3.5
