@@ -1,4 +1,5 @@
-"""Exact values of the lift and the verdicts built on it.
+"""Exact values of the lift and the verdicts built on it, and the exact
+text and grid that `heatgauge check` writes.
 
 Every value here is pinned to the last bit (float.hex or repr), so a
 change to the integrator's arithmetic, its step meshes or the order of
@@ -13,7 +14,6 @@ import random
 import pytest
 
 from heatgauge import expr
-
 from heatgauge.bundle import contact3, flat3, ideal_gas, wankel
 from heatgauge.cli import main
 from heatgauge.entropy import reconstruct
