@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import expr, harness, systemio
+from . import expr, systemio
 from .bundle import BundleError
 from .connection import ConnectionError_, flatness
 from .entropy import EntropyError, reconstruct, residual_report
@@ -38,55 +38,45 @@ def _load_setup(args: argparse.Namespace) -> SystemSetup:
     return systemio.builtin_setup(args.system, tau=args.tau)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    setup = _load_setup(args)
+# Each subcommand maps (args, setup) to (summary text, passed, CSV columns,
+# CSV rows); main prints the text, writes the CSV and picks the exit code.
+
+def _cmd_check(args: argparse.Namespace, setup: SystemSetup):
     report = flatness(setup.system, setup.region, grid=setup.grid,
                       tol=setup.tolerances["flatness"])
-    print(report.summary())
-    if args.csv:
-        write_csv(args.csv, report.sample_columns, report.samples)
-    return EXIT_PASS if report.flat else EXIT_FAIL
+    return report.summary(), report.flat, report.sample_columns, report.samples
 
 
-def _cmd_lift(args: argparse.Namespace) -> int:
-    setup = _load_setup(args)
+def _cmd_lift(args: argparse.Namespace, setup: SystemSetup):
     curve = systemio.parse_curve_file(args.curve, setup.system.chart)
     result = lift_curve(setup.system, curve, args.u0)
-    if args.out:
-        write_csv(args.out, result.csv_columns, result.csv_rows())
     independent_work = work_integral(setup.system, result)
-    print(f"dU = {result.delta_u!r}")
-    print(f"work integral = {result.work!r} (quadrature check {independent_work!r})")
-    print(f"heat integral = {result.heat!r}")
-    print(f"integration error estimate = {result.error!r}")
-    return EXIT_PASS
+    text = (f"dU = {result.delta_u!r}\n"
+            f"work integral = {result.work!r} (quadrature check {independent_work!r})\n"
+            f"heat integral = {result.heat!r}\n"
+            f"integration error estimate = {result.error!r}")
+    return text, True, result.csv_columns, result.csv_rows()
 
 
-def _cmd_holonomy(args: argparse.Namespace) -> int:
-    setup = _load_setup(args)
+def _cmd_holonomy(args: argparse.Namespace, setup: SystemSetup):
     curve = systemio.parse_curve_file(args.curve, setup.system.chart)
     if not curve.is_closed():
         raise InputError("curve is not closed in the base (after period reduction)")
     result = lift_curve(setup.system, curve, args.u0)
     tol = setup.tolerances["holonomy"]
     closed = abs(result.delta_u) <= tol
-    print(f"holonomy dU = {result.delta_u!r} (tolerance {tol!r}): "
-          f"{'closed' if closed else 'open'}")
-    if args.out:
-        write_csv(args.out, result.csv_columns, result.csv_rows())
-    return EXIT_PASS if closed else EXIT_FAIL
+    text = (f"holonomy dU = {result.delta_u!r} (tolerance {tol!r}): "
+            f"{'closed' if closed else 'open'}")
+    return text, closed, result.csv_columns, result.csv_rows()
 
 
-def _cmd_jauch(args: argparse.Namespace) -> int:
-    setup = _load_setup(args)
+def _cmd_jauch(args: argparse.Namespace, setup: SystemSetup):
     loops = default_loop_family(setup.system.chart, setup.region, seed=args.seed)
     report = jauch_test(setup.system, loops, args.u0, tol=setup.tolerances["holonomy"])
-    print(report.summary())
-    if args.csv:
-        rows = [(k, r.delta_u, r.work, r.error, int(r.holds))
-                for k, r in enumerate(report.records)]
-        write_csv(args.csv, ("loop", "delta_u", "work", "error", "holds"), rows)
-    return EXIT_PASS if report.holds else EXIT_FAIL
+    rows = [(k, r.delta_u, r.work, r.error, int(r.holds))
+            for k, r in enumerate(report.records)]
+    return (report.summary(), report.holds,
+            ("loop", "delta_u", "work", "error", "holds"), rows)
 
 
 def _parse_point(text: str) -> dict[str, float]:
@@ -107,34 +97,24 @@ def _parse_point(text: str) -> dict[str, float]:
     return point
 
 
-def _cmd_entropy(args: argparse.Namespace) -> int:
-    setup = _load_setup(args)
+def _cmd_entropy(args: argparse.Namespace, setup: SystemSetup):
     chart = setup.system.chart
     if args.ref:
         ref = _parse_point(args.ref)
     else:
         ref = {c: 0.5 * (setup.region[c][0] + setup.region[c][1]) for c in chart.base}
-    try:
-        entropy_chart = reconstruct(setup.system, ref, setup.region,
-                                    grid=min(setup.grid, 9),
-                                    residual_tol=setup.tolerances["residual"])
-    except EntropyError as exc:
-        raise InputError(str(exc)) from exc
+    entropy_chart = reconstruct(setup.system, ref, setup.region,
+                                grid=min(setup.grid, 9),
+                                residual_tol=setup.tolerances["residual"])
     summary = residual_report(entropy_chart)
-    print(summary.summary())
-    if args.csv:
-        write_csv(args.csv, entropy_chart.csv_columns, entropy_chart.csv_rows())
-    return EXIT_PASS if summary.passed else EXIT_FAIL
+    return (summary.summary(), summary.passed,
+            entropy_chart.csv_columns, entropy_chart.csv_rows())
 
 
-def _cmd_phase(args: argparse.Namespace) -> int:
-    setup = _load_setup(args)
+def _cmd_phase(args: argparse.Namespace, setup: SystemSetup):
     report = phase_demo(setup.system, args.revs, u0=args.u0)
-    print(report.summary())
-    if args.csv:
-        rows = [(k + 1, v) for k, v in enumerate(report.cumulative)]
-        write_csv(args.csv, ("revolution", "cumulative_delta_u"), rows)
-    return EXIT_PASS
+    rows = [(k + 1, v) for k, v in enumerate(report.cumulative)]
+    return report.summary(), True, ("revolution", "cumulative_delta_u"), rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,14 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_options(p)
     p.add_argument("--curve", required=True, help="curve definition file")
     p.add_argument("--u0", type=float, default=0.0, help="initial energy")
-    p.add_argument("--out", help="write the lifted samples to this CSV file")
+    p.add_argument("--out", dest="csv", metavar="OUT",
+                   help="write the lifted samples to this CSV file")
     p.set_defaults(handler=_cmd_lift)
 
     p = sub.add_parser("holonomy", help="fibre displacement over a closed loop")
     _add_system_options(p)
     p.add_argument("--curve", required=True, help="closed curve definition file")
     p.add_argument("--u0", type=float, default=0.0)
-    p.add_argument("--out", help="write the lifted samples to this CSV file")
+    p.add_argument("--out", dest="csv", metavar="OUT",
+                   help="write the lifted samples to this CSV file")
     p.set_defaults(handler=_cmd_holonomy)
 
     p = sub.add_parser("jauch", help="conservation test over a loop family")
@@ -189,11 +171,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except (InputError, BundleError, CurveError, HarnessError, LiftError,
+        text, passed, columns, rows = args.handler(args, _load_setup(args))
+        print(text)
+        if args.csv:
+            write_csv(args.csv, columns, rows)
+    except (InputError, BundleError, CurveError, EntropyError, HarnessError, LiftError,
             ConnectionError_, expr.ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import expr
 from .expr import compile_expression
 from .bundle import WorkSystem
 from .connection import grid_points
@@ -32,8 +31,8 @@ from .tolerances import RESIDUAL_TOL
 
 Region = Mapping[str, tuple[float, float]]
 
-DEFAULT_FD_STEP = 1e-5
-DEFAULT_LIFT_TOL = 1e-12
+FD_STEP = 1e-5  # half-width of every central difference
+LIFT_TOL = 1e-12  # step_tol of every transport
 PATH_DEPENDENCE_FACTOR = 10.0
 
 
@@ -49,7 +48,6 @@ class EntropyChart:
     ref_base: dict[str, float]
     region: dict[str, tuple[float, float]]
     grid: int
-    fd_step: float
     residual_tol: float
     nodes: np.ndarray  # (n, dim) in chart coordinate order
     entropy: np.ndarray
@@ -99,18 +97,6 @@ class ResidualSummary:
                 f"verdict = {'pass' if self.passed else 'fail'}")
 
 
-def _transport(system: WorkSystem, u: float, base: Sequence[float],
-               ref: Sequence[float], lift_tol: float,
-               fixed_steps: int | None = None) -> tuple[float, int]:
-    """Lift the straight base segment base -> ref from height u.
-
-    Returns the arrival height, as np.float64, and the step count used.
-    """
-    u_end, steps = lift_endpoint(system, [base, ref], u, step_tol=lift_tol,
-                                 fixed_steps=fixed_steps)
-    return np.float64(u_end), steps[0]
-
-
 def _staircase(base: Sequence[float], ref: Sequence[float], order: Sequence[int]):
     """Axis-aligned path from base to ref changing one coordinate at a time."""
     current = list(base)
@@ -126,16 +112,19 @@ def _staircase(base: Sequence[float], ref: Sequence[float], order: Sequence[int]
 
 def reconstruct(system: WorkSystem, ref_base: Mapping[str, float],
                 region: Region, grid: int = 9,
-                fd_step: float = DEFAULT_FD_STEP,
-                lift_tol: float = DEFAULT_LIFT_TOL,
                 residual_tol: float = RESIDUAL_TOL) -> EntropyChart:
     """Reconstruct S, T, and the residual |xi - T dS| on a coordinate grid.
 
     S at a node is the end height of the straight lift from the node to
-    the reference point, computed by the generated endpoint kernel (see
-    the module docstring). The auxiliary lifts behind each finite
-    difference reuse the step count of the node's central lift so that
-    integration error largely cancels in the differences.
+    the reference point, computed by lift_endpoint with step_tol LIFT_TOL
+    (see the module docstring). T = 1/(dS/dU) from central differences of
+    half-width FD_STEP, and the residual is the worst base component
+    |-P_i - T dS/dV_i|: the U component of xi - T dS vanishes by the
+    definition of T. The auxiliary lifts behind each finite difference
+    reuse the step count of the node's central lift so that integration
+    error largely cancels in the differences. The chart passes
+    (residual_report) when the worst residual is below residual_tol and
+    transport is path independent.
     """
     chart = system.chart
     missing = set(chart.coords) - set(region)
@@ -154,16 +143,16 @@ def reconstruct(system: WorkSystem, ref_base: Mapping[str, float],
     t_vals = []
     grads = []
     residuals = []
-    h = fd_step
+    h = FD_STEP
     u_pos = chart.index(chart.vertical)
     base_pos = [chart.index(c) for c in chart.base]
     try:
         for node in grid_points(region, chart.coords, grid):
             u = node[u_pos]
             base = [node[i] for i in base_pos]
-            s, steps = _transport(system, u, base, ref, lift_tol)
-            s_up, _ = _transport(system, u + h, base, ref, lift_tol, fixed_steps=steps)
-            s_dn, _ = _transport(system, u - h, base, ref, lift_tol, fixed_steps=steps)
+            s, steps = lift_endpoint(system, [base, ref], u, LIFT_TOL)
+            s_up, _ = lift_endpoint(system, [base, ref], u + h, LIFT_TOL, steps[0])
+            s_dn, _ = lift_endpoint(system, [base, ref], u - h, LIFT_TOL, steps[0])
             ds_du = (s_up - s_dn) / (2.0 * h)
             if abs(ds_du) < 1e-12:
                 raise EntropyError(
@@ -171,14 +160,14 @@ def reconstruct(system: WorkSystem, ref_base: Mapping[str, float],
             temperature = 1.0 / ds_du
             grad = [0.0] * chart.dim
             grad[u_pos] = ds_du
-            residual = abs(1.0 - temperature * ds_du)
+            residual = 0.0
             for k, i in enumerate(base_pos):
                 shifted_up = list(base)
                 shifted_up[k] += h
                 shifted_dn = list(base)
                 shifted_dn[k] -= h
-                s_vp, _ = _transport(system, u, shifted_up, ref, lift_tol, fixed_steps=steps)
-                s_vm, _ = _transport(system, u, shifted_dn, ref, lift_tol, fixed_steps=steps)
+                s_vp, _ = lift_endpoint(system, [shifted_up, ref], u, LIFT_TOL, steps[0])
+                s_vm, _ = lift_endpoint(system, [shifted_dn, ref], u, LIFT_TOL, steps[0])
                 ds_dv = (s_vp - s_vm) / (2.0 * h)
                 grad[i] = ds_dv
                 # heat form component along this base coordinate is -P_i
@@ -192,13 +181,12 @@ def reconstruct(system: WorkSystem, ref_base: Mapping[str, float],
     except LiftError as exc:
         raise EntropyError(f"lift failure during reconstruction: {exc}") from exc
 
-    path_dep = _path_dependence(system, region, ref, lift_tol)
+    path_dep = _path_dependence(system, region, ref)
     chart_result = EntropyChart(
         system=system,
         ref_base={c: v for c, v in zip(chart.base, ref)},
         region={c: tuple(region[c]) for c in chart.coords},
         grid=grid,
-        fd_step=fd_step,
         residual_tol=residual_tol,
         nodes=np.asarray(nodes),
         entropy=np.asarray(s_vals),
@@ -211,8 +199,7 @@ def reconstruct(system: WorkSystem, ref_base: Mapping[str, float],
     return chart_result
 
 
-def _path_dependence(system: WorkSystem, region: Region, ref: Sequence[float],
-                     lift_tol: float) -> float:
+def _path_dependence(system: WorkSystem, region: Region, ref: Sequence[float]) -> float:
     """Largest disagreement between two staircase transports to the reference.
 
     Probes the corners of the base box at mid fibre height; with a single
@@ -231,10 +218,8 @@ def _path_dependence(system: WorkSystem, region: Region, ref: Sequence[float],
     forward = list(range(m))
     backward = list(reversed(forward))
     for corner in corners:
-        ua, _ = lift_endpoint(system, _staircase(corner, ref, forward), u_mid,
-                              step_tol=lift_tol)
-        ub, _ = lift_endpoint(system, _staircase(corner, ref, backward), u_mid,
-                              step_tol=lift_tol)
+        ua, _ = lift_endpoint(system, _staircase(corner, ref, forward), u_mid, LIFT_TOL)
+        ub, _ = lift_endpoint(system, _staircase(corner, ref, backward), u_mid, LIFT_TOL)
         worst = max(worst, abs(ua - ub))
     return worst
 

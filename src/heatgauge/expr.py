@@ -85,7 +85,7 @@ def _checked_div(a: float, b: float) -> float:
 
 
 def _checked_pow(a: float, b: float) -> float:
-    if a < 0.0 and b != int(b):
+    if a < 0.0 and not float(b).is_integer():
         raise EvalError("negative base with non-integer exponent")
     if a == 0.0 and b < 0.0:
         raise EvalError("zero base with negative exponent")
@@ -113,6 +113,12 @@ def _checked_exp(x: float) -> float:
     except OverflowError as exc:
         raise EvalError("overflow in exp") from exc
 
+
+# math.sin, math.cos and math.tan raise ValueError on an infinite argument,
+# the only ValueError evaluation can meet. evaluate() and every generated
+# function turn it into EvalError with this text; they catch it around the
+# call or the whole body, which costs nothing until it raises.
+_TRIG_DOMAIN = "trigonometric function of an infinite value"
 
 # The checked functions by name; generated code calls each as _<name>.
 _FUNCTIONS: dict[str, Callable[..., float]] = {
@@ -381,7 +387,11 @@ def evaluate(e: Expression, env: Mapping[str, float]) -> float:
             return _checked_div(a, b)
         return _checked_pow(a, b)
     if isinstance(e, Call):
-        return _FUNCTIONS[e.func](evaluate(e.arg, env))
+        x = evaluate(e.arg, env)
+        try:
+            return _FUNCTIONS[e.func](x)
+        except ValueError:
+            raise EvalError(_TRIG_DOMAIN) from None
     raise ExpressionError(f"not an expression node: {e!r}")
 
 
@@ -597,7 +607,10 @@ def _emit(root: tuple, leaf: Callable[[str], tuple[str, bool]],
 def _define(name: str, params: str, body: list[str]) -> Callable[..., float]:
     """Execute one generated function definition against _FUNCTIONS."""
     namespace = {f"_{func}": impl for func, impl in _FUNCTIONS.items()}
-    source = "\n    ".join([f"def {name}({params}):", *body]) + "\n"
+    namespace["_EvalError"] = EvalError
+    source = "\n    ".join([f"def {name}({params}):", "try:", *("    " + line for line in body),
+                            "except ValueError:",
+                            f"    raise _EvalError({_TRIG_DOMAIN!r}) from None"]) + "\n"
     exec(source, namespace)  # noqa: S102 - generated from a closed AST, no user code
     return namespace[name]
 

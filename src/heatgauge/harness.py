@@ -14,11 +14,11 @@ from typing import Mapping, Sequence
 
 from . import expr
 from .bundle import WorkSystem
-from .connection import FlatnessReport, curvature_matrix, flatness, grid_points
+from .connection import FlatnessReport, flatness
 from .entropy import ResidualSummary, reconstruct, residual_report
 from .geometry import Chart
 from .lift import BaseCurve, lift_curve, square_loop
-from .tolerances import FLATNESS_TOL, HOLONOMY_TOL, PHASE_CLOSURE_TOL, RESIDUAL_TOL
+from .tolerances import HOLONOMY_TOL, PHASE_CLOSURE_TOL
 
 Region = Mapping[str, tuple[float, float]]
 
@@ -31,10 +31,11 @@ class HarnessError(Exception):
 # Loop families
 
 def random_polyline_loop(chart: Chart, base_region: Sequence[tuple[float, float]],
-                         rng: random.Random, vertices: int = 6) -> BaseCurve:
+                         rng: random.Random) -> BaseCurve:
+    """A closed polyline through six random vertices inside base_region."""
     pts = [tuple(rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
                  for lo, hi in base_region)
-           for _ in range(vertices)]
+           for _ in range(6)]
     pts.append(pts[0])
     return BaseCurve.polyline(chart, pts)
 
@@ -113,13 +114,7 @@ def random_curved_system(rng: random.Random, region: Region | None = None,
         bump = expr.mul(expr.const(c), expr.call("sin", expr.mul(expr.const(k), expr.var("V2"))))
         coeffs = (expr.add(base.coefficients[0], bump),) + base.coefficients[1:]
         system = WorkSystem(name, base.chart, coeffs)
-        matrix = curvature_matrix(system)
-        worst = 0.0
-        for node in grid_points(region, system.chart.coords, 5):
-            point = dict(zip(system.chart.coords, node))
-            for _, e in matrix.pairs():
-                worst = max(worst, abs(expr.evaluate(e, point)))
-        if worst > 1e-4:
+        if flatness(system, region, grid=5, collect_samples=False).max_curvature > 1e-4:
             return system
     raise HarnessError("failed to generate a clearly curved system")
 
@@ -197,36 +192,34 @@ class EquivalenceReport:
 
 
 def equivalence_test(system: WorkSystem, region: Region, grid: int = 7,
-                     loops: Sequence[BaseCurve] | None = None,
-                     flat_tol: float = FLATNESS_TOL,
-                     residual_tol: float = RESIDUAL_TOL,
-                     holonomy_tol: float = HOLONOMY_TOL,
-                     ref_base: Mapping[str, float] | None = None,
-                     seed: int = 0) -> EquivalenceReport:
+                     loops: Sequence[BaseCurve] | None = None) -> EquivalenceReport:
     """Run the three verdicts on one region and assert nothing: callers
-    check the agree flag."""
+    check the agree flag.
+
+    Flatness samples a grid of grid nodes per axis; the entropy chart is
+    reconstructed on at most 5 per axis from the middle of the base box;
+    holonomy closure is jauch_test's verdict on the loops (by default
+    default_loop_family with seed 0) lifted from the middle of the U
+    range. Each verdict uses the library's default tolerance. A loop that
+    is not closed raises HarnessError.
+    """
     chart = system.chart
     if loops is None:
-        loops = default_loop_family(chart, region, seed=seed)
-    if ref_base is None:
-        ref_base = {c: 0.5 * (region[c][0] + region[c][1]) for c in chart.base}
-    flat_report = flatness(system, region, grid=grid, tol=flat_tol, collect_samples=False)
-    entropy_chart = reconstruct(system, ref_base, region, grid=min(grid, 5),
-                                residual_tol=residual_tol)
+        loops = default_loop_family(chart, region)
+    ref_base = {c: 0.5 * (region[c][0] + region[c][1]) for c in chart.base}
+    flat_report = flatness(system, region, grid=grid, collect_samples=False)
+    entropy_chart = reconstruct(system, ref_base, region, grid=min(grid, 5))
     residual = residual_report(entropy_chart)
     u_mid = 0.5 * (region[chart.vertical][0] + region[chart.vertical][1])
-    max_holonomy = 0.0
-    for loop in loops:
-        result = lift_curve(system, loop, u_mid)
-        max_holonomy = max(max_holonomy, abs(result.delta_u))
+    closure = jauch_test(system, loops, u_mid)
     return EquivalenceReport(
         residual_pass=residual.passed,
         flatness_pass=flat_report.flat,
-        holonomy_pass=max_holonomy <= holonomy_tol,
+        holonomy_pass=closure.holds,
         residual_summary=residual,
         flatness_report=flat_report,
-        max_holonomy=max_holonomy,
-        holonomy_tol=holonomy_tol,
+        max_holonomy=closure.max_delta_u,
+        holonomy_tol=closure.tolerance,
     )
 
 

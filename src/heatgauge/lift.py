@@ -288,9 +288,10 @@ def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
 
     Each segment is integrated with n and 2n steps; n doubles, at most
     MAX_HALVINGS times, until the two answers agree to step_tol per unit
-    parameter, and the finer answer is kept. fixed_steps skips the
-    adaptivity (used for finite-difference probes that must share a step
-    count).
+    parameter, and the finer answer is kept. fixed_steps takes that many
+    steps per segment (at least 2) with no adaptivity; the tests use it as
+    the reference for lift_endpoint's fixed-step runs, which entropy's
+    finite differences make.
     """
     if system.chart != curve.chart:
         raise LiftError("curve and system live on different charts")
@@ -364,12 +365,11 @@ def lift_endpoint(system: WorkSystem, points: Sequence[Sequence[float]], u0: flo
     return u, steps
 
 
-def loop_holonomy(system: WorkSystem, curve: BaseCurve, u0: float,
-                  step_tol: float = DEFAULT_STEP_TOL) -> float:
+def loop_holonomy(system: WorkSystem, curve: BaseCurve, u0: float) -> float:
     """Fibre displacement of the lift of a closed base loop."""
     if not curve.is_closed():
         raise LiftError("base curve is not closed")
-    return lift_curve(system, curve, u0, step_tol=step_tol).delta_u
+    return lift_curve(system, curve, u0).delta_u
 
 
 def square_loop(chart: Chart, center: Sequence[float], size: float,
@@ -393,8 +393,7 @@ def square_loop(chart: Chart, center: Sequence[float], size: float,
 
 
 def commutator_probe(system: WorkSystem, point: Mapping[str, float],
-                     i: int, j: int, t: float,
-                     step_tol: float = DEFAULT_STEP_TOL) -> float:
+                     i: int, j: int, t: float) -> float:
     """Lift the coordinate-flow rectangle of side t in base axes i, j.
 
     Returns delta U / t^2, which converges to the curvature component
@@ -419,7 +418,7 @@ def commutator_probe(system: WorkSystem, point: Mapping[str, float],
 
     pts = [shifted(0, 0), shifted(1, 0), shifted(1, 1), shifted(0, 1), shifted(0, 0)]
     curve = BaseCurve.polyline(chart, pts)
-    result = lift_curve(system, curve, float(point[chart.vertical]), step_tol=step_tol)
+    result = lift_curve(system, curve, float(point[chart.vertical]))
     return result.delta_u / (t * t)
 
 

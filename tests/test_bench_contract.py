@@ -12,8 +12,8 @@ import os
 
 import pytest
 
-from heatgauge import expr, lift
-from heatgauge.bundle import contact3
+from heatgauge import cli, expr, harness, lift
+from heatgauge.bundle import contact3, flat3
 from heatgauge.connection import flatness
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -53,3 +53,46 @@ def test_cache_clear_covers_flatness():
     assert expr.compile_expression.cache_info().currsize == 1
     expr.compile_expression.cache_clear()
     assert expr.compile_expression.cache_info().currsize == 0
+
+
+def test_traced_calls_match_untraced(monkeypatch, tmp_path, capsys):
+    # bench/run.py runs every op untraced, clears the compile cache, installs
+    # the tracer and runs the ops again; the tracer's after-hooks read the
+    # returned objects, so a renamed field or a traced function that raises
+    # would fail every traced run
+    monkeypatch.syspath_prepend(BENCH)
+    tracing = importlib.import_module("tracing")
+    region = {"U": (-1, 1), "V1": (-1, 1), "V2": (-1, 1)}
+    square = tmp_path / "square.csv"
+    square.write_text("V1,V2\n0,0\n0.5,0\n0.5,0.5\n0,0.5\n0,0\n")
+    out = tmp_path / "out.csv"
+
+    def ops():
+        loops = [lift.square_loop(contact3().chart, (0.0, 0.0), 0.5)]
+        results = [repr(harness.equivalence_test(flat3(), region, grid=2, loops=loops)),
+                   repr(harness.jauch_test(contact3(), loops, 0.0))]
+        for argv in (["lift", "--system", "contact3", "--curve", str(square), "--out", str(out)],
+                     ["check", "--system", "contact3", "--csv", str(out)],
+                     ["entropy", "--system", "ideal_gas", "--csv", str(out)]):
+            code = cli.main(argv)
+            results.append((code, capsys.readouterr(), out.read_bytes()))
+        return results
+
+    untraced = ops()
+    expr.compile_expression.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = ops()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    metrics = tracer.layer_metrics(expr.compile_expression.cache_info())
+    assert set(metrics) >= set(tracing.LAYER_METRICS)
+    assert {k: v for k, v in tracer.counts.items() if k.endswith(".raised") and v} == {}
+    assert tracer.spans_nest()
+    # equivalence_test takes its holonomy verdict from jauch_test
+    assert metrics["harness.jauch_test.calls"] == 2
+    for name in ("lift.lift_curve.kept_steps", "connection.flatness.nodes",
+                 "entropy.reconstruct.nodes", "systemio.write_csv.bytes"):
+        assert metrics[name] > 0, name

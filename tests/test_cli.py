@@ -237,6 +237,21 @@ class TestNonFiniteInput:
             "error: lift failure during reconstruction: lift height is nan on segment 0\n")
 
 
+    @pytest.mark.parametrize("p, message", [
+        ("sin(1e999 + V2)", "trigonometric function of an infinite value"),
+        ("(-1)^(1e999*V2)", "negative base with non-integer exponent"),
+        ("(-2)^(1e999*V2 - 1e999*V2)", "negative base with non-integer exponent"),
+    ])
+    def test_non_finite_argument_is_an_input_error(self, tmp_path, capsys, p, message):
+        system = self._system(tmp_path, p)
+        assert main(["check", "--file", system]) == 1
+        assert capsys.readouterr().err == ("error: evaluation failed at grid point "
+                                           f"{{'U': -1.0, 'V1': -1.0, 'V2': -1.0}}: {message}\n")
+        assert main(["entropy", "--file", system]) == 1
+        assert capsys.readouterr().err == ("error: lift failure during reconstruction: "
+                                           f"domain error during lift on segment 0: {message}\n")
+
+
 class TestSystemIO:
     def test_parse_system_file(self, system_file):
         setup = parse_system_file(system_file)

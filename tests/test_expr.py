@@ -331,3 +331,17 @@ class TestCompiledBitForBit:
             fn = compile_expression(e, ("x",))
             for at in (-0.0, 0.0, 2.0):
                 assert _outcome(lambda: fn(at)) == _outcome(lambda: evaluate(e, {"x": at}))
+
+    @pytest.mark.parametrize("source", [
+        "sin(x)", "cos(2*x)", "tan(x + 1)", "sin(x) + log(x)", "(-1)^x", "(-2)^(x - x)",
+        "0^x", "2^x", "exp(sin(x))",
+    ])
+    def test_non_finite_arguments(self, source):
+        e = parse(source)
+        fn = compile_expression(e, ("x",))
+        for at in (math.inf, -math.inf, math.nan):
+            want = _outcome(lambda: evaluate(e, {"x": at}))
+            assert _outcome(lambda: fn(at)) == want
+            assert not want.startswith(("ValueError", "OverflowError"))
+            tuple_fn = compile_tuple([parse("x + 1"), e], ("x",))
+            assert _outcome(lambda: tuple_fn(at)[1]) == want

@@ -205,3 +205,56 @@ def test_check_first_error(tmp_path, capsys, coefficients, message):
                    + "".join(f"{c} = -1, 1\n" for c in ["U", *base]) + "[grid]\nnodes = 3\n")
     assert main(["check", "--file", str(ini)]) == 1
     assert capsys.readouterr().err == f"error: evaluation failed at grid point {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# The other subcommands: stdout, exit code and the SHA-256 of the CSV written
+
+SQUARE_CSV = "V1,V2\n0.0,0.0\n0.5,0.0\n0.5,0.5\n0.0,0.5\n0.0,0.0\n"
+
+
+def _cli_run(tmp_path, capsys, argv):
+    """Exit code, stdout, stderr and the SHA-256 of out.csv (None if not written)."""
+    (tmp_path / "square.csv").write_text(SQUARE_CSV)
+    out = tmp_path / "out.csv"
+    argv = [str(tmp_path / a) if a in ("square.csv", "out.csv") else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    sha = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    return code, captured.out, captured.err, sha
+
+
+@pytest.mark.parametrize("argv, code, stdout, sha", [
+    (["lift", "--system", "contact3", "--curve", "square.csv", "--u0", "0.25",
+      "--out", "out.csv"], 0,
+     "dU = 0.25\nwork integral = -0.25 (quadrature check -0.25)\nheat integral = 0.0\n"
+     "integration error estimate = 1.25e-13\n",
+     "cdd83e5fdd90c321fa8fa025b9ed33a8fcfc98b6747cbd71eab2d36fc408eea0"),
+    (["holonomy", "--system", "flat3", "--curve", "square.csv", "--u0", "0.3",
+      "--out", "out.csv"], 0,
+     "holonomy dU = 0.0 (tolerance 1e-07): closed\n",
+     "bcab9fed83e80ab8b3117419f45c66cfd8c33ad6d103eed3184f34a321e6ebad"),
+    (["holonomy", "--system", "contact3", "--curve", "square.csv", "--out", "out.csv"], 2,
+     "holonomy dU = 0.25 (tolerance 1e-07): open\n",
+     "a6773dd1688811ff22d0c6f065f3190bfe6c1a93f93edbe032834aa66628c932"),
+    (["jauch", "--system", "contact3", "--seed", "4", "--csv", "out.csv"], 2,
+     "conservation violated on 25 loops (max |dU| = 1.204368500604343, tolerance = 1e-07)\n",
+     "558ec98b4454ba18440d6976a098af79e52a5a76a2ce233cd15e794e1c2bab2d"),
+    (["phase", "--system", "wankel", "--tau", "1 + 0.5*cos(theta)", "--revs", "3",
+      "--u0", "0.5", "--csv", "out.csv"], 0,
+     "cumulative dU per revolution: [6.283185307179586, 12.566370614359172, "
+     "18.849555921538762]; locally flat, global closure fails\n",
+     "c674f834097c8632eeacbabf88fd2d633f0a46afe4c696822ae88f27fe0ef48f"),
+    (["entropy", "--system", "ideal_gas", "--ref", "V=1.25", "--csv", "out.csv"], 0,
+     "residual max = 3.3545211053365165e-10, mean = 6.131240782570591e-11, "
+     "tolerance = 1e-06, path dependence = 0.0, verdict = pass\n",
+     "a50b7ee6e256372e6b6478f7fa8149e69752adacd39dcac509677e16f4192f32"),
+], ids=["lift", "holonomy-closed", "holonomy-open", "jauch", "phase", "entropy-ref"])
+def test_cli_subcommand_bytes(tmp_path, capsys, argv, code, stdout, sha):
+    assert _cli_run(tmp_path, capsys, argv) == (code, stdout, "", sha)
+
+
+def test_cli_input_error_bytes(tmp_path, capsys):
+    argv = ["entropy", "--system", "flat3", "--ref", "V1=0", "--csv", "out.csv"]
+    assert _cli_run(tmp_path, capsys, argv) == (
+        1, "", "error: reference point must bind every base coordinate\n", None)

@@ -103,6 +103,12 @@ class TestEquivalence:
         assert report.agree and not report.flatness_pass
 
 
+    def test_rejects_open_loops(self):
+        # out to (0.5, 0.5) and back short of the start: its dU is not a holonomy
+        path = BaseCurve.polyline(flat3().chart, [(0.0, 0.0), (0.5, 0.5), (0.1, 0.0)])
+        with pytest.raises(HarnessError, match="non-closed"):
+            equivalence_test(flat3(), REGION3, grid=2, loops=[path])
+
 class TestRandomSystems:
     def test_flat_systems_are_flat(self):
         from heatgauge.connection import flatness
