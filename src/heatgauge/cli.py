@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable, Sequence
 
 from . import expr, systemio
 from .bundle import BundleError
@@ -22,6 +23,10 @@ from .systemio import InputError, SystemSetup, write_csv
 EXIT_PASS = 0
 EXIT_INPUT_ERROR = 1
 EXIT_FAIL = 2
+
+# What a subcommand returns: summary text, verdict, CSV columns and rows.
+# main alone prints the text, writes the CSV and maps the verdict to an exit code.
+Outcome = tuple[str, bool, Sequence[str], Iterable[Sequence]]
 
 
 def _add_system_options(parser: argparse.ArgumentParser) -> None:
@@ -38,16 +43,13 @@ def _load_setup(args: argparse.Namespace) -> SystemSetup:
     return systemio.builtin_setup(args.system, tau=args.tau)
 
 
-# Each subcommand maps (args, setup) to (summary text, passed, CSV columns,
-# CSV rows); main prints the text, writes the CSV and picks the exit code.
-
-def _cmd_check(args: argparse.Namespace, setup: SystemSetup):
+def _cmd_check(args: argparse.Namespace, setup: SystemSetup) -> Outcome:
     report = flatness(setup.system, setup.region, grid=setup.grid,
                       tol=setup.tolerances["flatness"])
     return report.summary(), report.flat, report.sample_columns, report.samples
 
 
-def _cmd_lift(args: argparse.Namespace, setup: SystemSetup):
+def _cmd_lift(args: argparse.Namespace, setup: SystemSetup) -> Outcome:
     curve = systemio.parse_curve_file(args.curve, setup.system.chart)
     result = lift_curve(setup.system, curve, args.u0)
     independent_work = work_integral(setup.system, result)
@@ -58,7 +60,7 @@ def _cmd_lift(args: argparse.Namespace, setup: SystemSetup):
     return text, True, result.csv_columns, result.csv_rows()
 
 
-def _cmd_holonomy(args: argparse.Namespace, setup: SystemSetup):
+def _cmd_holonomy(args: argparse.Namespace, setup: SystemSetup) -> Outcome:
     curve = systemio.parse_curve_file(args.curve, setup.system.chart)
     if not curve.is_closed():
         raise InputError("curve is not closed in the base (after period reduction)")
@@ -70,7 +72,7 @@ def _cmd_holonomy(args: argparse.Namespace, setup: SystemSetup):
     return text, closed, result.csv_columns, result.csv_rows()
 
 
-def _cmd_jauch(args: argparse.Namespace, setup: SystemSetup):
+def _cmd_jauch(args: argparse.Namespace, setup: SystemSetup) -> Outcome:
     loops = default_loop_family(setup.system.chart, setup.region, seed=args.seed)
     report = jauch_test(setup.system, loops, args.u0, tol=setup.tolerances["holonomy"])
     rows = [(k, r.delta_u, r.work, r.error, int(r.holds))
@@ -97,7 +99,7 @@ def _parse_point(text: str) -> dict[str, float]:
     return point
 
 
-def _cmd_entropy(args: argparse.Namespace, setup: SystemSetup):
+def _cmd_entropy(args: argparse.Namespace, setup: SystemSetup) -> Outcome:
     chart = setup.system.chart
     if args.ref:
         ref = _parse_point(args.ref)
@@ -111,7 +113,7 @@ def _cmd_entropy(args: argparse.Namespace, setup: SystemSetup):
             entropy_chart.csv_columns, entropy_chart.csv_rows())
 
 
-def _cmd_phase(args: argparse.Namespace, setup: SystemSetup):
+def _cmd_phase(args: argparse.Namespace, setup: SystemSetup) -> Outcome:
     report = phase_demo(setup.system, args.revs, u0=args.u0)
     rows = [(k + 1, v) for k, v in enumerate(report.cumulative)]
     return report.summary(), True, ("revolution", "cumulative_delta_u"), rows

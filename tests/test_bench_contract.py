@@ -4,7 +4,9 @@ bench/tracing.py wraps the functions it lists in TRACED and counts
 coefficient evaluations through heatgauge.lift.compile_expression;
 bench/run.py clears and reads the compile cache. A rename or a lost
 cache API would crash every bench run, so these names must resolve, and
-clearing the cache must clear every compiled function.
+clearing the cache must clear every compiled function. The tracer's hooks
+read fields of the returned reports, and traced calls must return what
+untraced ones do.
 bench/ is only read here.
 """
 import importlib

@@ -1,5 +1,6 @@
-"""Exact values of the lift and the verdicts built on it, and the exact
-text and grid that `heatgauge check` writes.
+"""Exact values of the lift and the verdicts built on it, the exact text
+and grid that `heatgauge check` writes, and the stdout, CSV bytes and exit
+code of the other subcommands and of an input error.
 
 Every value here is pinned to the last bit (float.hex or repr), so a
 change to the integrator's arithmetic, its step meshes or the order of
