@@ -1,6 +1,8 @@
 """The adiabatic connection ker(xi): horizontal lifts of coordinate
-directions, the curvature matrix in closed component form, the Frobenius
-defect xi ^ d(xi), and grid-sampled flatness verdicts.
+directions, the curvature matrix in closed component form, and
+grid-sampled flatness verdicts, which read the curvature alone. The
+Frobenius defect xi ^ d(xi) is a test oracle: a fixed function of F and
+P that shares only differentiate with curvature_matrix.
 """
 from __future__ import annotations
 
@@ -80,17 +82,21 @@ def curvature_matrix(system: WorkSystem) -> CurvatureMatrix:
     """Closed-form curvature components of the adiabatic connection.
 
     F_ij = dP_j/dV_i - dP_i/dV_j + P_i dP_j/dU - P_j dP_i/dU, the vertical
-    part of [X_i, X_j] for the horizontal coordinate lifts.
+    part of [X_i, X_j] for the horizontal coordinate lifts. Each P_i is
+    differentiated once by U and once by every other base coordinate.
     """
     chart = system.chart
     u = chart.vertical
+    d = {(i, c): expr.differentiate(p_i, c)
+         for i, (v_i, p_i) in enumerate(zip(chart.base, system.coefficients), 1)
+         for c in chart.coords if c != v_i}
     entries = []
     for i, j in itertools.combinations(range(1, len(chart.base) + 1), 2):
         vi, vj = chart.base[i - 1], chart.base[j - 1]
         p_i, p_j = system.coefficients[i - 1], system.coefficients[j - 1]
-        f = expr.sub(expr.differentiate(p_j, vi), expr.differentiate(p_i, vj))
-        f = expr.add(f, expr.mul(p_i, expr.differentiate(p_j, u)))
-        f = expr.sub(f, expr.mul(p_j, expr.differentiate(p_i, u)))
+        f = expr.sub(d[j, vi], d[i, vj])
+        f = expr.add(f, expr.mul(p_i, d[j, u]))
+        f = expr.sub(f, expr.mul(p_j, d[i, u]))
         entries.append(((i, j), f))
     return CurvatureMatrix(system, tuple(entries))
 
@@ -108,10 +114,8 @@ class FlatnessReport:
     grid: int
     tolerance: float
     max_curvature: float
-    max_defect: float
     flat: bool
     curvature_symbolic: dict[tuple[int, int], Expression]
-    defect_symbolic: dict[tuple[str, ...], Expression]
     samples: list[tuple] = field(repr=False, default_factory=list)
     sample_columns: tuple[str, ...] = ()
 
@@ -119,12 +123,9 @@ class FlatnessReport:
         lines = [f"system: {self.system_name}",
                  f"verdict: {'flat' if self.flat else 'curved'}",
                  f"max |F| = {self.max_curvature!r}",
-                 f"max |defect| = {self.max_defect!r}",
                  f"tolerance = {self.tolerance!r}"]
         for (i, j), e in sorted(self.curvature_symbolic.items()):
             lines.append(f"F[{i},{j}] = {expr.unparse(e)}")
-        for idx, e in sorted(self.defect_symbolic.items()):
-            lines.append(f"defect[{','.join(idx)}] = {expr.unparse(e)}")
         return "\n".join(lines)
 
 
@@ -143,12 +144,11 @@ def grid_points(region: Region, coords: tuple[str, ...], grid: int) -> Iterator[
 
 def flatness(system: WorkSystem, region: Region, grid: int = 11,
              tol: float = FLATNESS_TOL, collect_samples: bool = True) -> FlatnessReport:
-    """Sample |F_ij| and the defect components over a grid and give a verdict.
+    """Sample the curvature components F_ij over a grid and give a verdict.
 
-    The verdict is flat iff the grid maximum of |F_ij| is below tol; the
-    defect maximum is reported alongside as the integrability cross-check.
-    All components are compiled into one function (expr.compile_tuple).
-    A component that fails to evaluate, or is nan, at a grid point raises
+    The verdict is flat iff the grid maximum of |F_ij| is below tol. The
+    components are compiled into one function (expr.compile_tuple). A
+    component that fails to evaluate, or is nan, at a grid point raises
     ConnectionError_ naming the point.
     """
     chart = system.chart
@@ -156,15 +156,10 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
     if missing:
         raise ConnectionError_(f"region missing coordinates {sorted(missing)}")
     matrix = curvature_matrix(system)
-    defect = frobenius_defect(system)
-    f_keys = [key for key, _ in matrix.pairs()]
-    components = [e for _, e in matrix.pairs()] + [e for _, e in defect.components]
-    values_at = expr.compile_tuple(components, chart.coords)
+    values_at = expr.compile_tuple([e for _, e in matrix.pairs()], chart.coords)
+    columns = chart.coords + tuple(f"F_{i}{j}" for (i, j), _ in matrix.pairs())
     max_f = 0.0
-    max_d = 0.0
     samples = []
-    columns = chart.coords + tuple(f"F_{i}{j}" for i, j in f_keys) \
-        + tuple("defect_" + "_".join(idx) for idx, _ in defect.components)
     for node in grid_points(region, chart.coords, grid):
         try:
             values = values_at(*node)
@@ -172,13 +167,10 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
             point = dict(zip(chart.coords, node))
             raise ConnectionError_(f"evaluation failed at grid point {point}: {exc}") from exc
         for name, v in zip(columns[len(node):], values):
-            if v != v:  # nan, which max() below would pass over
+            if v != v:  # nan, which max() would pass over
                 point = dict(zip(chart.coords, node))
                 raise ConnectionError_(f"evaluation failed at grid point {point}: {name} is nan")
-        for v in values[:len(f_keys)]:
             max_f = max(max_f, abs(v))
-        for v in values[len(f_keys):]:
-            max_d = max(max_d, abs(v))
         if collect_samples:
             samples.append(node + values)
     return FlatnessReport(
@@ -187,10 +179,8 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
         grid=grid,
         tolerance=tol,
         max_curvature=max_f,
-        max_defect=max_d,
         flat=max_f < tol,
-        curvature_symbolic={key: e for key, e in matrix.pairs()},
-        defect_symbolic=dict(defect.components),
+        curvature_symbolic=dict(matrix.pairs()),
         samples=samples,
         sample_columns=columns,
     )

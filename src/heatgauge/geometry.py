@@ -189,10 +189,6 @@ def d_coord(chart: Chart, name: str) -> DifferentialForm:
     return DifferentialForm.build(chart, 1, {(name,): const(1.0)})
 
 
-def zero_form(chart: Chart, degree: int) -> DifferentialForm:
-    return DifferentialForm(chart, degree, ())
-
-
 def exterior_derivative(f: DifferentialForm) -> DifferentialForm:
     """d on forms of degree <= 2, by symbolic differentiation of components."""
     if f.degree >= MAX_DEGREE:

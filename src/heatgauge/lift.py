@@ -441,7 +441,9 @@ def work_integral(system: WorkSystem, lifted: LiftResult) -> float:
     Composite Simpson over the stored sample nodes, sharpened by one
     Richardson extrapolation against the half-resolution grid when the
     node count allows it; independent of the Runge-Kutta bookkeeping
-    that produced delta U.
+    that produced delta U. As in the lift, a coefficient is not evaluated
+    where its velocity component is zero. A coefficient that fails to
+    evaluate at a sample raises LiftError naming the sample.
     """
     chart = system.chart
     fns = [compile_expression(p, chart.coords) for p in system.coefficients]
@@ -456,7 +458,13 @@ def work_integral(system: WorkSystem, lifted: LiftResult) -> float:
             u = lifted.energies[k]
             v = lifted.base_samples[k]
             dv = lifted.velocities[k]
-            integrand.append(-sum(fn(u, *v) * dvi for fn, dvi in zip(fns, dv)))
+            try:
+                integrand.append(-sum((fn(u, *v) * dvi for fn, dvi in zip(fns, dv)
+                                       if dvi != 0.0), 0.0))
+            except expr.EvalError as exc:
+                point = dict(zip(chart.base, map(float, v)))
+                raise LiftError(f"domain error in the work quadrature at t = "
+                                f"{float(lifted.times[k])!r}, base point {point}: {exc}") from exc
         fine = _simpson(integrand, h)
         if (len(integrand) - 1) % 4 == 0:
             coarse = _simpson(integrand[::2], 2.0 * h)

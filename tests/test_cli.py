@@ -115,6 +115,23 @@ class TestLiftCommand:
                      "--u0", "1e8"]) == 1
         assert "no convergence after 13 halvings on segment 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("end, code, stdout, stderr", [
+        # V1 never moves, so neither the lift nor the quadrature reads log(V2)
+        ("0,-0.2", 0, "dU = 0.0\nwork integral = -0.0 (quadrature check 0.0)\n"
+                      "heat integral = 0.0\nintegration error estimate = 1e-13\n", ""),
+        # V1 moves: the lift reads log(V2) first and names the segment
+        ("0.3,-0.2", 1, "", "error: domain error during lift on segment 0: "
+                            "log of non-positive value\n"),
+    ])
+    def test_coefficient_read_only_where_its_velocity_is_nonzero(self, tmp_path, capsys,
+                                                                 end, code, stdout, stderr):
+        system = tmp_path / "log.ini"
+        system.write_text(SYSTEM_INI.replace("P = -V2; 0", "P = log(V2); 0"))
+        curve = tmp_path / "path.csv"
+        curve.write_text(f"V1,V2\n0,-0.5\n{end}\n")
+        assert main(["lift", "--file", str(system), "--curve", str(curve)]) == code
+        assert capsys.readouterr() == (stdout, stderr)
+
     def test_parametric_curve(self, tmp_path, capsys):
         path = tmp_path / "circle.ini"
         path.write_text(CURVE_INI)

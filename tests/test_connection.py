@@ -1,16 +1,17 @@
+import itertools
 import random
 
 import pytest
 
-from heatgauge import expr
-from heatgauge.bundle import contact3, flat3, ideal_gas, wankel, zero_work
+from heatgauge import connection, expr
+from heatgauge.bundle import WorkSystem, contact3, flat3, ideal_gas, wankel, zero_work
 from heatgauge.connection import (ConnectionError_, curvature_matrix, flatness,
-                                  frobenius_defect, horizontal_lift_vector,
+                                  frobenius_defect, grid_points, horizontal_lift_vector,
                                   vertical_component)
-from heatgauge.geometry import coordinate_field, lie_bracket, pair
+from heatgauge.geometry import Chart, coordinate_field, lie_bracket, pair
 from heatgauge.harness import random_curved_system, random_flat_system
 
-from conftest import random_point
+from conftest import random_expression, random_point
 
 REGION3 = {"U": (-1, 1), "V1": (-1, 1), "V2": (-1, 1)}
 
@@ -97,7 +98,97 @@ class TestFrobeniusDefect:
         for _ in range(5):
             for system in (random_flat_system(rng), random_curved_system(rng)):
                 report = flatness(system, REGION3, grid=5, collect_samples=False)
-                assert (report.max_curvature < 1e-9) == (report.max_defect < 1e-9)
+                coords = system.chart.coords
+                defect = expr.compile_tuple(
+                    [e for _, e in frobenius_defect(system).components], coords)
+                max_defect = max(abs(v) for node in grid_points(REGION3, coords, 5)
+                                 for v in defect(*node))
+                assert (report.max_curvature < 1e-9) == (max_defect < 1e-9)
+
+
+def _random_system(rng, m, flat):
+    """m base coordinates V1..Vm. A flat system comes from a potential
+    S = U*f(V) + g(V), P_i = -(U df/dV_i + dg/dV_i)/f; a curved one takes
+    each P_i as a random expression in U and the V_i."""
+    base = [f"V{i}" for i in range(1, m + 1)]
+    chart = Chart(("U", *base))
+    if not flat:
+        return WorkSystem("curved", chart, tuple(random_expression(rng, list(chart.coords))
+                                                 for _ in base))
+    f = expr.add(expr.const(1.0),
+                 expr.mul(expr.const(0.2), expr.call("sin", random_expression(rng, base))))
+    g = random_expression(rng, base)
+    u = expr.var("U")
+    return WorkSystem("flat", chart, tuple(
+        expr.neg(expr.div(expr.add(expr.mul(u, expr.differentiate(f, c)),
+                                   expr.differentiate(g, c)), f)) for c in base))
+
+
+class TestDefectOracle:
+    """frobenius_defect shares no code with curvature_matrix but
+    differentiate, and its components are fixed combinations of F and P:
+    defect[U,Vi,Vj] = -F_ij, defect[Vi,Vj,Vk] = P_i F_jk - P_j F_ik + P_k F_ij."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_defect_is_a_combination_of_f_and_p(self, rng, m):
+        def close(got, want):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+        largest_f = {True: 0.0, False: 0.0}
+        for flat in (True, False) * 3:
+            system = _random_system(rng, m, flat)
+            base = system.chart.base
+            matrix = curvature_matrix(system)
+            defect = frobenius_defect(system)
+            for _ in range(5):
+                point = random_point(rng, list(system.chart.coords), -1.0, 1.0)
+                p = [expr.evaluate(c, point) for c in system.coefficients]
+
+                def f(i, j):
+                    return expr.evaluate(matrix.entry(i, j), point)
+
+                for i, j in itertools.combinations(range(1, m + 1), 2):
+                    largest_f[flat] = max(largest_f[flat], abs(f(i, j)))
+                    got = expr.evaluate(defect.component(("U", base[i - 1], base[j - 1])), point)
+                    close(got, -f(i, j))
+                for i, j, k in itertools.combinations(range(1, m + 1), 3):
+                    got = expr.evaluate(
+                        defect.component((base[i - 1], base[j - 1], base[k - 1])), point)
+                    close(got, p[i - 1] * f(j, k) - p[j - 1] * f(i, k) + p[k - 1] * f(i, j))
+        assert largest_f[True] < 1e-9 and largest_f[False] > 1e-3
+
+
+class TestWorkCount:
+    @pytest.fixture
+    def differentiate_calls(self, monkeypatch):
+        calls = []
+        differentiate = expr.differentiate
+
+        def counted(e, coord):
+            calls.append(coord)
+            return differentiate(e, coord)
+
+        monkeypatch.setattr(expr, "differentiate", counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_curvature_matrix_differentiates_each_coefficient_once_per_coordinate(
+            self, rng, differentiate_calls, m):
+        # P_i by U and by every V_j with j != i: m^2 derivatives
+        curvature_matrix(_random_system(rng, m, flat=False))
+        assert len(differentiate_calls) == m * m
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_flatness_builds_the_curvature_alone(self, rng, monkeypatch,
+                                                 differentiate_calls, m):
+        system = _random_system(rng, m, flat=False)
+        monkeypatch.setattr(connection, "frobenius_defect",
+                            lambda system: pytest.fail("flatness built the Frobenius defect"))
+        region = {c: (-1.0, 1.0) for c in system.chart.coords}
+        report = flatness(system, region, grid=2)
+        assert len(differentiate_calls) == m * m
+        assert report.sample_columns[m + 1:] == tuple(
+            f"F_{i}{j}" for i, j in itertools.combinations(range(1, m + 1), 2))
 
 
 class TestFlatness:

@@ -167,8 +167,8 @@ def test_check_flat_two_base_potential(tmp_path, capsys):
                          "log(3 + sin((0.4 + 1.2*V1 - 0.8*V2)/(2.5 + sin(V2))))",
                          "sqrt(3 + sin(sin(-0.3 + 0.9*V2 + 1.7*V1)))", nodes=5)
     assert _check_hashes(tmp_path, capsys, ini) == (
-        0, "ab8fbf3a097d7820848e0cc0f429c231c1c82f531656756a14b77fcef03dee93",
-        "7fcfc0e48a5503dac7aeb7e2861a217eb0c5559d78771957cdfdebec267a28fb")
+        0, "9793462f313b743dc698fd83230da5e5f03cf3a2f0ac275ae98c4c9d89d4d668",
+        "04f47050ea0024d3d3dbaab8f60574e21f3192aa6e20a7afdd4a461562664ad1")
 
 
 def test_check_curved_four_base_potential(tmp_path, capsys):
@@ -177,8 +177,8 @@ def test_check_curved_four_base_potential(tmp_path, capsys):
                          "(0.2 + 0.5*V4 - 1.1*V2)/(2.5 + sin(V1))",
                          bump="0.6*sin(1.3*V2)", nodes=2)
     assert _check_hashes(tmp_path, capsys, ini) == (
-        2, "7934a3b441dd49ad92c3885fb50de54c590ed0a29fbc593136f6b1fa433e97ed",
-        "17d30cee2c159efb46ca93394db8600fe1717bf354b4c06dc640e16150642218")
+        2, "07f8774626aef646dd64537c307456c51095d72b92cf5e2442d923c94787c118",
+        "f5b2ec9e6ae28a1f583c5d7ff5b36f8d020150385564b7936a6406bc810649c4")
 
 
 def test_check_one_base_has_no_components(tmp_path, capsys):
@@ -186,7 +186,7 @@ def test_check_one_base_has_no_components(tmp_path, capsys):
     ini.write_text("[system]\nname = gas\nbase_coords = V\nP = -2*U/(3*V)\n"
                    "[region]\nU = 1, 2\nV = 1, 2\n[grid]\nnodes = 4\n")
     assert _check_hashes(tmp_path, capsys, ini) == (
-        0, "bd4d1a50b09c40e3f6ec0a01ebbf5549f7a43a4295698eb644eff35476dbcb34",
+        0, "ab1184e2b218c4098f60a0aa344ee19935406a1166031454c015ef6706ba8533",
         "89aab8228a5c865c7bb7f008071304400e8ef7a8019f4d5e4f3e1934b25bb893")
 
 
@@ -206,6 +206,20 @@ def test_check_first_error(tmp_path, capsys, coefficients, message):
                    + "".join(f"{c} = -1, 1\n" for c in ["U", *base]) + "[grid]\nnodes = 3\n")
     assert main(["check", "--file", str(ini)]) == 1
     assert capsys.readouterr().err == f"error: evaluation failed at grid point {message}\n"
+
+
+def test_check_ignores_a_coefficient_no_curvature_component_reads(tmp_path, capsys):
+    # P_1 = log(V1) is undefined at V1 = -1, but every F_ij built from it
+    # is 0.0 there (dP_1/dV_j = 0 for j != 1 and no P depends on U); only
+    # the Frobenius defect's P_1*F_23 term read it
+    ini = tmp_path / "unread.ini"
+    ini.write_text("[system]\nname = unread\nbase_coords = V1, V2, V3\nP = log(V1); V3; 0\n"
+                   "[region]\nU = -1, 1\nV1 = -1, 1\nV2 = -1, 1\nV3 = -1, 1\n"
+                   "[grid]\nnodes = 2\n")
+    assert main(["check", "--file", str(ini)]) == 2
+    assert capsys.readouterr().out == (
+        "system: unread\nverdict: curved\nmax |F| = 1.0\ntolerance = 1e-09\n"
+        "F[1,2] = 0.0\nF[1,3] = 0.0\nF[2,3] = (-1.0)\n")
 
 
 # ---------------------------------------------------------------------------

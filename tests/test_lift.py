@@ -227,6 +227,22 @@ class TestWorkIntegral:
         assert result.steps_per_segment == [steps, steps]
         assert work_integral(system, result) == pytest.approx(-result.delta_u, abs=1e-12)
 
+    def test_quadrature_skips_a_coefficient_whose_velocity_is_zero(self):
+        # P_V1 = log(V2) is undefined at V2 < 0, but this path never moves V1
+        system = WorkSystem.build("skip", CHART3, {"V1": "log(V2)", "V2": "0"})
+        curve = BaseCurve.polyline(CHART3, [(0.0, -0.5), (0.0, -0.2)])
+        assert work_integral(system, lift_curve(system, curve, 0.0)) == 0.0
+
+    def test_domain_error_names_the_sample(self):
+        # the same coefficient with V1 moving: the quadrature of contact3's
+        # lift evaluates log(V2) at its first sample
+        system = WorkSystem.build("log", CHART3, {"V1": "log(V2)", "V2": "0"})
+        result = lift_curve(contact3(), BaseCurve.polyline(CHART3, [(0.0, -0.5), (0.3, -0.2)]), 0.0)
+        with pytest.raises(LiftError) as info:
+            work_integral(system, result)
+        assert str(info.value) == ("domain error in the work quadrature at t = 0.0, "
+                                   "base point {'V1': 0.0, 'V2': -0.5}: log of non-positive value")
+
     def test_wankel_full_circle(self):
         w = wankel("2")
         circle = BaseCurve.parametric(w.chart, {"theta": "t"}, 0.0, 2.0 * math.pi)
