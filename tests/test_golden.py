@@ -209,9 +209,10 @@ def test_check_first_error(tmp_path, capsys, coefficients, message):
 
 
 def test_check_ignores_a_coefficient_no_curvature_component_reads(tmp_path, capsys):
-    # P_1 = log(V1) is undefined at V1 = -1, but every F_ij built from it
-    # is 0.0 there (dP_1/dV_j = 0 for j != 1 and no P depends on U); only
-    # the Frobenius defect's P_1*F_23 term read it
+    # P_1 = log(V1) is undefined at V1 = -1, but no F_ij reads it
+    # (dP_1/dV_j = 0 for j != 1 and no P depends on U), so check gives a
+    # verdict; the Frobenius defect, which check does not build, reads it
+    # through P_1*F_23
     ini = tmp_path / "unread.ini"
     ini.write_text("[system]\nname = unread\nbase_coords = V1, V2, V3\nP = log(V1); V3; 0\n"
                    "[region]\nU = -1, 1\nV1 = -1, 1\nV2 = -1, 1\nV3 = -1, 1\n"
