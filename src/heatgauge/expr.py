@@ -6,12 +6,14 @@ evaluation with real-domain checking, and compilation to plain Python
 functions. The passes work at DAG size: parse shares equal subtrees, and
 differentiate and unparse handle a shared node once per call. One emitter
 (_emit) writes straight-line code with one temporary per distinct node for
-three targets: one function per expression (compile_expression), one
+four targets: one function per expression (compile_expression), one
 function returning several expressions' values as a tuple (compile_tuple,
-one per flatness check) and one RK4 kernel per system and straight-segment
-velocity pattern (segment_kernel). The caches key on one structural key
-(_shape) that tells signed zeros apart; compile_expression and
-compile_tuple share one cache.
+one per flatness check), the same tuple function over numpy arrays
+(compile_array, which entropy.reconstruct evaluates on every quadrature
+node of every base path at once) and one RK4 kernel per system and
+straight-segment velocity pattern (segment_kernel). The caches key on one
+structural key (_shape) that tells signed zeros apart; compile_expression,
+compile_tuple and compile_array share one cache.
 
 Supported grammar: +, -, *, /, ^ (right associative), unary minus,
 parentheses, and the functions sin, cos, tan, exp, log, sqrt, abs.
@@ -23,6 +25,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 
 class ExpressionError(Exception):
@@ -131,6 +135,68 @@ _FUNCTIONS: dict[str, Callable[..., float]] = {
     "abs": abs,
     "div": _checked_div,
     "pow": _checked_pow,
+}
+
+
+# The same checks over numpy arrays: each raises the EvalError its scalar
+# counterpart raises at any element, and otherwise returns the elementwise
+# values. Generated array functions run under np.errstate(all="ignore"),
+# so arithmetic that overflows or meets nan warns nothing.
+
+def _array_div(a, b):
+    if np.any(b == 0.0):
+        raise EvalError("division by zero")
+    return a / b
+
+
+def _array_pow(a, b):
+    if np.any((a < 0.0) & ~(np.isfinite(b) & (b == np.floor(b)))):
+        raise EvalError("negative base with non-integer exponent")
+    if np.any((a == 0.0) & (b < 0.0)):
+        raise EvalError("zero base with negative exponent")
+    value = np.power(a, b)
+    if np.any(np.isinf(value) & np.isfinite(a) & np.isfinite(b)):
+        raise EvalError("overflow in power")
+    return value
+
+
+def _array_log(x):
+    if np.any(x <= 0.0):
+        raise EvalError("log of non-positive value")
+    return np.log(x)
+
+
+def _array_sqrt(x):
+    if np.any(x < 0.0):
+        raise EvalError("sqrt of negative value")
+    return np.sqrt(x)
+
+
+def _array_exp(x):
+    value = np.exp(x)
+    if np.any(np.isinf(value) & np.isfinite(x)):
+        raise EvalError("overflow in exp")
+    return value
+
+
+def _array_trig(func: Callable):
+    def checked(x):
+        if np.any(np.isinf(x)):
+            raise EvalError(_TRIG_DOMAIN)
+        return func(x)
+    return checked
+
+
+_ARRAY_FUNCTIONS: dict[str, Callable] = {
+    "sin": _array_trig(np.sin),
+    "cos": _array_trig(np.cos),
+    "tan": _array_trig(np.tan),
+    "exp": _array_exp,
+    "log": _array_log,
+    "sqrt": _array_sqrt,
+    "abs": np.abs,
+    "div": _array_div,
+    "pow": _array_pow,
 }
 
 
@@ -529,7 +595,7 @@ def _operand(rendered: tuple[str, int], parent_prec: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: one emitter, two targets
+# Compilation: one emitter, four targets
 
 def _shape(e: Expression) -> tuple:
     """Structural key of an expression; both compile caches key on it.
@@ -604,10 +670,12 @@ def _emit(root: tuple, leaf: Callable[[str], tuple[str, bool]],
     return go(root)
 
 
-def _define(name: str, params: str, body: list[str]) -> Callable[..., float]:
-    """Execute one generated function definition against _FUNCTIONS."""
-    namespace = {f"_{func}": impl for func, impl in _FUNCTIONS.items()}
+def _define(name: str, params: str, body: list[str],
+            functions: Mapping[str, Callable] = _FUNCTIONS) -> Callable[..., float]:
+    """Execute one generated function definition against functions."""
+    namespace = {f"_{func}": impl for func, impl in functions.items()}
     namespace["_EvalError"] = EvalError
+    namespace["_errstate"] = np.errstate
     source = "\n    ".join([f"def {name}({params}):", "try:", *("    " + line for line in body),
                             "except ValueError:",
                             f"    raise _EvalError({_TRIG_DOMAIN!r}) from None"]) + "\n"
@@ -643,6 +711,23 @@ def compile_tuple(expressions: Sequence[Expression],
         raise _unbound(expressions, coords) from None
 
 
+def compile_array(expressions: Sequence[Expression],
+                  coords: tuple[str, ...]) -> Callable[..., tuple]:
+    """compile_tuple's code run over numpy arrays: coordinate arguments
+    are arrays (or floats) that broadcast together, and each value is an
+    array of that shape, or a float where the expression is constant.
+
+    The checked functions are array versions that raise the scalar
+    EvalError texts; an EvalError means some element is outside the
+    domain, and no numpy warning is emitted. Cached with the other
+    targets, under its own tag.
+    """
+    try:
+        return _compile(("array", *map(_shape, expressions)), tuple(coords))
+    except KeyError:
+        raise _unbound(expressions, coords) from None
+
+
 def _unbound(expressions: Sequence[Expression], coords: tuple[str, ...]) -> ExpressionError:
     unknown = sorted(set().union(*map(variables, expressions)) - set(coords))
     return ExpressionError(f"unbound variables {unknown} for coordinates {list(coords)}")
@@ -651,11 +736,12 @@ def _unbound(expressions: Sequence[Expression], coords: tuple[str, ...]) -> Expr
 @lru_cache(maxsize=4096)
 def _compile(shape: tuple, coords: tuple[str, ...]) -> Callable[..., float]:
     """The function for one shape, or, for ("tuple", *shapes), the tuple of
-    their values from one function with one memo."""
+    their values from one function with one memo; ("array", *shapes) is
+    that tuple function over arrays."""
     slots = {c: f"_x{i}" for i, c in enumerate(coords)}
     lines: list[tuple[str, str]] = []
     memo: dict[int | str, tuple[str, bool]] = {}
-    is_tuple = shape[0] == "tuple"
+    is_tuple = shape[0] in ("tuple", "array")
     roots = [_emit(item, lambda name: (slots[name], False), memo, lines, "e")[0]
              for item in (shape[1:] if is_tuple else (shape,))]
     if is_tuple:
@@ -664,8 +750,13 @@ def _compile(shape: tuple, coords: tuple[str, ...]) -> Callable[..., float]:
         result = lines.pop()[1]  # the root node's code, returned directly
     else:
         result = roots[0]
-    return _define("_compiled", ", ".join(slots[c] for c in coords),
-                   [f"{name} = {code}" for name, code in lines] + [f"return {result}"])
+    body = [f"{name} = {code}" for name, code in lines] + [f"return {result}"]
+    params = ", ".join(slots[c] for c in coords)
+    if shape[0] == "array":
+        return _define("_compiled", params, ["with _errstate(all='ignore'):",
+                                             *("    " + line for line in body)],
+                       _ARRAY_FUNCTIONS)
+    return _define("_compiled", params, body)
 
 
 compile_expression.cache_info = _compile.cache_info

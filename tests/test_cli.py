@@ -251,7 +251,8 @@ class TestNonFiniteInput:
     def test_nan_lift_is_named(self, tmp_path, capsys):
         assert main(["entropy", "--file", self._system(tmp_path, "1e999*V2")]) == 1
         assert capsys.readouterr().err == (
-            "error: lift failure during reconstruction: lift height is nan on segment 0\n")
+            "error: lift failure during reconstruction at {'U': -1.0, 'V1': -1.0, 'V2': -1.0}: "
+            "lift height is nan on segment 0\n")
 
 
     @pytest.mark.parametrize("p, message", [
@@ -265,7 +266,8 @@ class TestNonFiniteInput:
         assert capsys.readouterr().err == ("error: evaluation failed at grid point "
                                            f"{{'U': -1.0, 'V1': -1.0, 'V2': -1.0}}: {message}\n")
         assert main(["entropy", "--file", system]) == 1
-        assert capsys.readouterr().err == ("error: lift failure during reconstruction: "
+        assert capsys.readouterr().err == ("error: lift failure during reconstruction at "
+                                           "{'U': -1.0, 'V1': -1.0, 'V2': -1.0}: "
                                            f"domain error during lift on segment 0: {message}\n")
 
 

@@ -1,13 +1,15 @@
 import math
 import random
+import warnings
 import weakref
 
+import numpy as np
 import pytest
 
 from heatgauge import expr
 from heatgauge.expr import (BinOp, Call, Const, EvalError, Neg, ParseError, Var,
-                            compile_expression, compile_tuple, differentiate,
-                            evaluate, parse, unparse)
+                            compile_array, compile_expression, compile_tuple,
+                            differentiate, evaluate, parse, unparse)
 
 from conftest import random_expression, random_point
 
@@ -345,3 +347,91 @@ class TestCompiledBitForBit:
             assert not want.startswith(("ValueError", "OverflowError"))
             tuple_fn = compile_tuple([parse("x + 1"), e], ("x",))
             assert _outcome(lambda: tuple_fn(at)[1]) == want
+
+
+def _array_outcome(fn, at):
+    """fn's values at one point given as 1-element arrays, as float.hex, or
+    the text of the error it raises; no numpy warning may be emitted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = fn(*(np.array([x]) for x in at))
+        except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+            return f"{type(exc).__name__}: {exc}"
+    return tuple(float(np.broadcast_to(v, (1,))[0]).hex() for v in values)
+
+
+class TestCompiledArrays:
+    def test_array_equals_tuple_per_point(self, rng):
+        # the tuple target's groups, with a log and a sqrt that fail on
+        # about half the points: each point alone gives the tuple's first
+        # error, and its values to within the last bits of numpy's
+        # transcendental functions
+        coords = ("x", "y")
+        exprs = _expressions_and_derivatives(rng, coords, 300)
+        points = [random_point(rng, list(coords), -3.0, 3.0) for _ in range(3)]
+        errors = 0
+        for k in range(0, len(exprs), 9):
+            group = exprs[k:k + 9]
+            group = group[:4] + [Call("log", group[3])] + group[4:] + [Call("sqrt", group[0])]
+            scalar, array = compile_tuple(group, coords), compile_array(group, coords)
+            for p in points:
+                at = (p["x"], p["y"])
+                want = _in_order(group, p)
+                got = _array_outcome(array, at)
+                if isinstance(want, str):
+                    errors += 1
+                    assert got == want
+                else:
+                    assert np.allclose([float.fromhex(v) for v in got], scalar(*at),
+                                       rtol=1e-12, atol=1e-300), (unparse(group[0]), p)
+        assert 50 < errors < 250
+
+    def test_values_over_a_grid(self):
+        fn = compile_array([parse("x*y + 1"), parse("2"), parse("log(x)/y")], ("x", "y"))
+        x, y = np.meshgrid([0.5, 1.0, 2.0], [1.0, 4.0])
+        product, two, ratio = fn(x, y)
+        assert np.array_equal(product, x * y + 1) and two == 2.0
+        assert np.allclose(ratio, np.log(x) / y, rtol=1e-15)
+
+    @pytest.mark.parametrize("source, at, message", [
+        ("1/x", 0.0, "division by zero"),
+        ("log(x)", 0.0, "log of non-positive value"),
+        ("sqrt(x)", -1.0, "sqrt of negative value"),
+        ("x^0.5", -1.0, "negative base with non-integer exponent"),
+        ("x^(-1)", 0.0, "zero base with negative exponent"),
+        ("x^400", 10.0, "overflow in power"),
+        ("exp(x)", 1000.0, "overflow in exp"),
+        ("tan(x)", math.inf, "trigonometric function of an infinite value"),
+    ])
+    def test_domain_errors_match_the_scalar_texts(self, source, at, message):
+        e = parse(source)
+        assert _outcome(lambda: compile_expression(e, ("x",))(at)) == f"EvalError: {message}"
+        fn = compile_array([e], ("x",))
+        with pytest.raises(EvalError, match=f"^{message}$"):
+            fn(np.array([1.0, at, 2.0]))
+
+    @pytest.mark.parametrize("source", [
+        "sin(x)", "cos(2*x)", "tan(x + 1)", "sin(x) + log(x)", "(-1)^x", "(-2)^(x - x)",
+        "0^x", "2^x", "exp(sin(x))", "x*1e300*1e300 - x*1e300*1e300", "exp(x) - exp(x)",
+    ])
+    def test_non_finite_arguments_warn_nothing(self, source):
+        e = parse(source)
+        scalar = compile_tuple([e], ("x",))
+        array = compile_array([e], ("x",))
+        for at in (math.inf, -math.inf, math.nan, 1e10):
+            want = _outcome(lambda: scalar(at)[0])
+            got = _array_outcome(array, (at,))
+            assert got == (want if want.startswith("EvalError") else (want,))
+
+    def test_shares_the_compile_cache(self):
+        exprs = [parse("x + y"), parse("x*y")]
+        fn = compile_array(exprs, ("x", "y"))
+        assert compile_array(exprs, ("x", "y")) is fn
+        assert compile_tuple(exprs, ("x", "y")) is not fn
+        compile_expression.cache_clear()
+        assert compile_array(exprs, ("x", "y")) is not fn
+
+    def test_unbound_variable(self):
+        with pytest.raises(expr.ExpressionError, match=r"unbound variables \['z'\]"):
+            compile_array([parse("x*z")], ("x",))

@@ -66,10 +66,10 @@ def test_parametric_circle():
 def test_flat3_reconstruction_nodes():
     chart = reconstruct(flat3(), {"V1": 0.0, "V2": 0.0}, REGION3, grid=3)
     expected = {
-        0: ("0x0.0p+0", "0x1.fffffffffdcd0p-1", "0x1.142c000000000p-38"),
-        5: ("-0x1.0000000000000p+0", "0x1.fffffffffdcd0p-1", "0x1.86a2000000000p-38"),
+        0: ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.1980000000000p-40"),
+        5: ("-0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1980000000000p-40"),
         13: ("0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"),
-        26: ("0x1.0000000000000p+1", "0x1.fffffffff1980p-1", "0x1.86a0800000000p-36"),
+        26: ("0x1.0000000000000p+1", "0x1.0000000000000p+0", "0x1.cd00000000000p-38"),
     }
     for k, (s, t, residual) in expected.items():
         got = (float(chart.entropy[k]).hex(), float(chart.temperature[k]).hex(),
@@ -85,18 +85,18 @@ def test_criterion_3_first_flat_system_report():
     report = equivalence_test(system, SMALL3, grid=3, loops=loops)
     assert repr(report) == (
         "EquivalenceReport(residual_pass=True, flatness_pass=True, holonomy_pass=True, "
-        "residual_summary=ResidualSummary(max_residual=1.1055473203569477e-10, "
-        "mean_residual=3.331261228160093e-11, tolerance=1e-06, "
-        "path_dependence=6.605826996519681e-14, path_dependent=False, "
+        "residual_summary=ResidualSummary(max_residual=2.063504922489301e-11, "
+        "mean_residual=7.183772352707438e-12, tolerance=1e-06, "
+        "path_dependence=1.887379141862766e-16, path_dependent=False, "
         "passed=True), max_holonomy=2.262273701703066e-12, holonomy_tol=1e-07)")
 
 
 def test_ideal_gas_reconstruction_nodes():
     chart = reconstruct(ideal_gas(), {"V": 1.0}, {"U": (1, 2), "V": (1, 2)}, grid=3)
     expected = {
-        0: ("0x1.0000000000000p+0", "0x1.fffffffffdcd0p-1", "0x1.046b000000000p-36"),
-        4: ("0x1.f72eae568cf45p+0", "0x1.86baa822df6b4p-1", "0x1.810cc00000000p-34"),
-        8: ("0x1.965fea53d6ea0p+1", "0x1.428a2f98b682ep-1", "0x1.711e200000000p-33"),
+        0: ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.3356000000000p-38"),
+        4: ("0x1.f72eae568cecfp+0", "0x1.86baa8240ae9dp-1", "0x1.80ca000000000p-37"),
+        8: ("0x1.965fea53d6e3dp+1", "0x1.428a2f98d728ap-1", "0x1.e528000000000p-40"),
     }
     for k, (s, t, residual) in expected.items():
         got = (float(chart.entropy[k]).hex(), float(chart.temperature[k]).hex(),
@@ -115,9 +115,9 @@ def test_criterion_3_first_curved_system_report():
     report = equivalence_test(system, SMALL3, grid=3, loops=loops)
     assert repr(report) == (
         "EquivalenceReport(residual_pass=False, flatness_pass=False, holonomy_pass=False, "
-        "residual_summary=ResidualSummary(max_residual=0.10663708297272376, "
-        "mean_residual=0.08809905622287569, tolerance=1e-06, "
-        "path_dependence=0.13507004239565654, path_dependent=True, "
+        "residual_summary=ResidualSummary(max_residual=0.10663708296158406, "
+        "mean_residual=0.08809905622284758, tolerance=1e-06, "
+        "path_dependence=0.13507004239563952, path_dependent=True, "
         "passed=False), max_holonomy=0.04965150770895654, holonomy_tol=1e-07)")
 
 
@@ -126,9 +126,9 @@ def test_contact3_entropy_cli_bytes(tmp_path, capsys):
     assert main(["entropy", "--system", "contact3", "--csv", str(csv_path)]) == 2
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == (
-        "3ee01c0f934578dd78f7aa1e26b90860b24eb853f0af65794fa75152d0f52676")
+        "f843f9983faecc69f97e1aa04cd6b0861b374bd86b2146341e6a9d85dfbefd09")
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
-        "eb316c0bf52da469bb1f0d23d2621bf6c2728bfa51dde6c9c20b22efd45d0676")
+        "a68d0add9af8ada15a25c93b22dd0b4ac16ef12d0f1c8c4d5891b300057c0fa8")
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +262,9 @@ def _cli_run(tmp_path, capsys, argv):
      "18.849555921538762]; locally flat, global closure fails\n",
      "c674f834097c8632eeacbabf88fd2d633f0a46afe4c696822ae88f27fe0ef48f"),
     (["entropy", "--system", "ideal_gas", "--ref", "V=1.25", "--csv", "out.csv"], 0,
-     "residual max = 3.3545211053365165e-10, mean = 6.131240782570591e-11, "
+     "residual max = 2.82016632269233e-11, mean = 1.0714465665861297e-11, "
      "tolerance = 1e-06, path dependence = 0.0, verdict = pass\n",
-     "a50b7ee6e256372e6b6478f7fa8149e69752adacd39dcac509677e16f4192f32"),
+     "d48765b36a5760fdd95a8ae7d1c57f6a8e6d2ce76de6951ef0e8f1593c319aae"),
 ], ids=["lift", "holonomy-closed", "holonomy-open", "jauch", "phase", "entropy-ref"])
 def test_cli_subcommand_bytes(tmp_path, capsys, argv, code, stdout, sha):
     assert _cli_run(tmp_path, capsys, argv) == (code, stdout, "", sha)

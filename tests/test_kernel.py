@@ -1,9 +1,10 @@
 """The generated segment kernel against the closure-based lift.
 
-lift_endpoint (which entropy.reconstruct uses) and lift_curve run the
-same RK4 arithmetic through two implementations. Every endpoint and step
-count here must agree bit for bit, and every failure must carry the same
-text.
+lift_endpoint (which entropy.reconstruct uses for systems not affine in
+U) and lift_curve run the same RK4 arithmetic through two
+implementations. Every endpoint and step count here must agree bit for
+bit, and every failure must carry the same text, also when reconstruct's
+transport maps meet it.
 """
 import random
 
@@ -83,7 +84,8 @@ def test_domain_errors_carry_the_lift_curve_text(name):
     assert str(got.value) == str(expected.value)
     with pytest.raises(EntropyError) as failure:
         reconstruct(system, {"V1": 0.0, "V2": 0.0}, REGION3, grid=3)
-    assert str(failure.value) == f"lift failure during reconstruction: {expected.value}"
+    node = dict(zip(system.chart.coords, (u, *base)))
+    assert str(failure.value) == f"lift failure during reconstruction at {node}: {expected.value}"
 
 
 def test_kernels_keep_signed_zero_constants_apart():
