@@ -92,13 +92,12 @@ class EntropyChart:
     def mean_residual(self) -> float:
         return float(np.mean(self.residuals))
 
-    def csv_rows(self):
+    def csv_rows(self) -> np.ndarray:
+        """One 2-D float array, a row per node: V_1..V_m, U, S, T, residual."""
         chart = self.system.chart
-        base_idx = [chart.index(c) for c in chart.base]
-        u_idx = chart.index(chart.vertical)
-        for k in range(len(self.nodes)):
-            yield (*(self.nodes[k][i] for i in base_idx), self.nodes[k][u_idx],
-                   self.entropy[k], self.temperature[k], self.residuals[k])
+        order = [chart.index(c) for c in (*chart.base, chart.vertical)]
+        return np.column_stack((self.nodes[:, order], self.entropy, self.temperature,
+                                self.residuals))
 
     @property
     def csv_columns(self) -> tuple[str, ...]:
@@ -331,6 +330,7 @@ def _panel() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), cumulative
 
 
+@np.errstate(all="ignore")  # overflow and nan are read from the maps, not warned
 def transport_maps(system: WorkSystem, slopes: tuple[Expression, ...],
                    paths: Sequence[Sequence[Sequence[float]]],
                    u_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +345,9 @@ def transport_maps(system: WorkSystem, slopes: tuple[Expression, ...],
     until every partial map's heights at both ends of u_range move by at
     most LIFT_TOL * max(1, |height|). Raises PathLiftError, with the text
     of the lift's LiftError, for the first failing path: a domain error,
-    a nan map, or no settling after MAX_DOUBLINGS doublings.
+    a map whose heights at the ends of u_range are not finite, or no
+    settling after MAX_DOUBLINGS doublings. Such a map is nan when a is
+    nan, or a is finite and b nan, and infinite otherwise (it overflowed).
     """
     chart = system.chart
     starts, directions, owners, segments = [], [], [], []
@@ -367,20 +369,23 @@ def transport_maps(system: WorkSystem, slopes: tuple[Expression, ...],
     for doubling in range(MAX_DOUBLINGS + 1):
         panels = 2 ** doubling
         values, errors = _coefficient_values(system, slopes, start, direction, panels, u_level)
-        maps = _compose(*_segment_maps(values, direction, panels, u_level), segment)
-        bad = np.isnan(maps[0]) | np.isnan(maps[1])
+        a, b = _compose(*_segment_maps(values, direction, panels, u_level), segment)
+        levels = a[:, None] * heights + b[:, None]
+        bad = ~np.isfinite(levels).all(axis=1)
         bad[list(errors)] = True
         if bad.any():
             row = int(np.argmax(bad))
             if row in errors:
                 raise PathLiftError(f"domain error during lift on segment {segments[row]}: "
                                     f"{errors[row]}", owners[row]) from errors[row]
-            raise PathLiftError(f"lift height is nan on segment {segments[row]}", owners[row])
-        levels = maps[0][:, None] * heights + maps[1][:, None]
+            # b is nan next to an infinite a when the overflow met a zero (0*inf)
+            nan = np.isnan(a[row]) or (np.isfinite(a[row]) and np.isnan(b[row]))
+            raise PathLiftError(f"lift height is {'nan' if nan else 'infinite'} on segment "
+                                f"{segments[row]}", owners[row])
         if previous is not None:
             moved = ~(np.abs(levels - previous) <= LIFT_TOL * np.maximum(1.0, np.abs(levels)))
             if not moved.any():
-                return maps[0][last], maps[1][last]
+                return a[last], b[last]
         previous = levels
     row = int(np.argmax(moved.any(axis=1)))
     raise PathLiftError(f"no convergence after {MAX_DOUBLINGS} halvings on segment "

@@ -9,6 +9,7 @@ stored samples.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -173,12 +174,11 @@ class LiftResult:
     def cumulative_heat(self) -> np.ndarray:
         return (self.energies - self.u0) + self.cumulative_work
 
-    def csv_rows(self):
-        """Rows t, V_1..V_m, U, cumulative work, cumulative heat."""
-        cw = self.cumulative_work
-        cq = self.cumulative_heat
-        for k in range(len(self.times)):
-            yield (self.times[k], *self.base_samples[k], self.energies[k], cw[k], cq[k])
+    def csv_rows(self) -> np.ndarray:
+        """One 2-D float array, a row per sample: t, V_1..V_m, U, cumulative
+        work, cumulative heat."""
+        return np.column_stack((self.times, self.base_samples, self.energies,
+                                self.cumulative_work, self.cumulative_heat))
 
     @property
     def csv_columns(self) -> tuple[str, ...]:
@@ -254,16 +254,17 @@ def _integrate_segment(run: Callable[[int, bool], tuple], span: float, step_tol:
     MAX_HALVINGS times, until the n- and 2n-step heights agree to
     step_tol per unit parameter; fixed_steps skips the adaptivity.
     Returns the kept run, its step count and its error estimate. A nan
-    height ends the segment at once: no step count would converge.
+    or infinite height ends the segment at once: no step count would
+    converge.
     """
     try:
         if fixed_steps is not None:
             n = max(2, fixed_steps)
-            return _not_nan(run(n, True), index), n, 0.0
+            return _finite(run(n, True), index), n, 0.0
         n = 8
-        coarse = _not_nan(run(n, False), index)[0]
+        coarse = _finite(run(n, False), index)[0]
         for _ in range(MAX_HALVINGS):
-            fine = _not_nan(run(2 * n, True), index)
+            fine = _finite(run(2 * n, True), index)
             diff = abs(fine[0] - coarse)
             if diff <= step_tol * max(abs(span), 1e-300):
                 return fine, 2 * n, diff
@@ -274,10 +275,13 @@ def _integrate_segment(run: Callable[[int, bool], tuple], span: float, step_tol:
     raise LiftError(f"no convergence after {MAX_HALVINGS} halvings on segment {index}")
 
 
-def _not_nan(result: tuple, index: int) -> tuple:
-    """result, unless its end height is nan."""
-    if result[0] != result[0]:
+def _finite(result: tuple, index: int) -> tuple:
+    """result, unless its end height is nan or infinite."""
+    u = result[0]
+    if u != u:
         raise LiftError(f"lift height is nan on segment {index}")
+    if math.isinf(u):
+        raise LiftError(f"lift height is infinite on segment {index}")
     return result
 
 
@@ -441,30 +445,34 @@ def work_integral(system: WorkSystem, lifted: LiftResult) -> float:
     Composite Simpson over the stored sample nodes, sharpened by one
     Richardson extrapolation against the half-resolution grid when the
     node count allows it; independent of the Runge-Kutta bookkeeping
-    that produced delta U. As in the lift, a coefficient is not evaluated
-    where its velocity component is zero. A coefficient that fails to
-    evaluate at a sample raises LiftError naming the sample.
+    that produced delta U. The samples are read as Python floats, the
+    scalar type the lift evaluates on, so each coefficient is computed as
+    in the lift: an overflowing ^, for one, raises here as it does there.
+    As in the lift, a coefficient is not evaluated where its velocity
+    component is zero. A coefficient that fails to evaluate at a sample
+    raises LiftError naming the sample.
     """
     chart = system.chart
     fns = [compile_expression(p, chart.coords) for p in system.coefficients]
     total = 0.0
     for start, stop in lifted.segment_slices:
-        ts = lifted.times[start:stop]
-        if len(ts) < 3:
+        if stop - start < 3:
             continue
-        h = ts[1] - ts[0]
+        times = lifted.times[start:stop].tolist()
+        energies = lifted.energies[start:stop].tolist()
+        # columns zipped into one tuple per sample: fewer objects held than in rows
+        bases = zip(*lifted.base_samples[start:stop].T.tolist())
+        velocities = zip(*lifted.velocities[start:stop].T.tolist())
+        h = times[1] - times[0]
         integrand = []
-        for k in range(start, stop):
-            u = lifted.energies[k]
-            v = lifted.base_samples[k]
-            dv = lifted.velocities[k]
+        for t, u, v, dv in zip(times, energies, bases, velocities):
             try:
                 integrand.append(-sum((fn(u, *v) * dvi for fn, dvi in zip(fns, dv)
                                        if dvi != 0.0), 0.0))
             except expr.EvalError as exc:
-                point = dict(zip(chart.base, map(float, v)))
+                point = dict(zip(chart.base, v))
                 raise LiftError(f"domain error in the work quadrature at t = "
-                                f"{float(lifted.times[k])!r}, base point {point}: {exc}") from exc
+                                f"{t!r}, base point {point}: {exc}") from exc
         fine = _simpson(integrand, h)
         if (len(integrand) - 1) % 4 == 0:
             coarse = _simpson(integrand[::2], 2.0 * h)

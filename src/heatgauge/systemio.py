@@ -11,6 +11,8 @@ import configparser
 import csv
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import bundle, expr
 from .bundle import WorkSystem
 from .geometry import Chart
@@ -252,16 +254,13 @@ def _parse_curve_csv(path: str, chart: Chart) -> BaseCurve:
 
 
 def write_csv(path, columns, rows) -> None:
-    """Deterministic CSV: floats rendered with shortest round-trip repr."""
-
-    def fmt(x):
-        # numpy scalars (np.float64 subclasses float) are written as plain floats
-        if isinstance(x, float) or hasattr(x, "item"):
-            return repr(float(x))
-        return str(x)
-
+    """Deterministic CSV: the header, then one line per row of cells joined
+    by commas, each cell its shortest round-trip repr, all lines ending in
+    CRLF. rows is a 2-D float array, read one row at a time through
+    tolist() so that no second copy of the table is held, or rows of
+    Python floats and ints."""
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
+        csv.writer(handle).writerow(columns)
+        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)

@@ -203,7 +203,7 @@ class TestDeterminism:
 
 def _read_plain_csv(path):
     text = path.read_text()
-    assert "np.float64(" not in text
+    assert "np." not in text
     header, *rows = list(csv.reader(text.splitlines()))
     assert rows
     return [[float(cell) for cell in row] for row in rows]
@@ -225,6 +225,32 @@ class TestCsvCells:
                      "--out", str(out)]) == 0
         rows = _read_plain_csv(out)
         assert all(len(row) == 6 for row in rows)
+
+    def test_holonomy_csv_cells_are_floats(self, system_file, square_curve, tmp_path):
+        out = tmp_path / "holonomy.csv"
+        assert main(["holonomy", "--file", system_file, "--curve", square_curve,
+                     "--out", str(out)]) == 2
+        rows = _read_plain_csv(out)
+        assert all(len(row) == 6 for row in rows)
+
+    def test_check_csv_cells_are_floats(self, system_file, tmp_path):
+        out = tmp_path / "check.csv"
+        assert main(["check", "--file", system_file, "--csv", str(out)]) == 2
+        rows = _read_plain_csv(out)
+        assert len(rows) == 5 ** 3 and all(len(row) == 4 for row in rows)
+
+    def test_jauch_csv_cells_are_numbers(self, tmp_path):
+        out = tmp_path / "jauch.csv"
+        assert main(["jauch", "--system", "flat3", "--csv", str(out)]) == 0
+        rows = _read_plain_csv(out)
+        assert rows and all(len(row) == 5 and row[4] == 1.0 for row in rows)
+        assert all(line.split(",")[4] == "1" for line in out.read_text().splitlines()[1:])
+
+    def test_phase_csv_cells_are_numbers(self, tmp_path):
+        out = tmp_path / "phase.csv"
+        assert main(["phase", "--system", "wankel", "--revs", "2", "--csv", str(out)]) == 0
+        assert _read_plain_csv(out) == [[1.0, pytest.approx(2 * math.pi)],
+                                        [2.0, pytest.approx(4 * math.pi)]]
 
 
 class TestNonFiniteInput:
@@ -269,6 +295,19 @@ class TestNonFiniteInput:
         assert capsys.readouterr().err == ("error: lift failure during reconstruction at "
                                            "{'U': -1.0, 'V1': -1.0, 'V2': -1.0}: "
                                            f"domain error during lift on segment 0: {message}\n")
+
+
+    def test_infinite_height_is_named(self, tmp_path, capsys):
+        # dU/dV1 = 1000*U: every lift off U = 0 overflows before V1 moves by 1
+        system = self._system(tmp_path, "1000*U")
+        curve = tmp_path / "path.csv"
+        curve.write_text("V1,V2\n0,0\n1,0\n")
+        assert main(["lift", "--file", system, "--curve", str(curve), "--u0", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: lift height is infinite on segment 0\n")
+        assert main(["entropy", "--file", system]) == 1
+        assert capsys.readouterr() == ("", "error: lift failure during reconstruction at "
+                                           "{'U': -1.0, 'V1': -1.0, 'V2': -1.0}: "
+                                           "lift height is infinite on segment 0\n")
 
 
 class TestSystemIO:

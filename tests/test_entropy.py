@@ -155,6 +155,7 @@ class TestValidation:
         rows = list(flat3_chart.csv_rows())
         assert len(rows) == len(flat3_chart.nodes)
         assert len(rows[0]) == len(flat3_chart.csv_columns) == 6
+        assert flat3_chart.csv_rows().shape == (len(flat3_chart.nodes), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,20 @@ class TestTransportMaps:
             _maps(system, [path])
         with pytest.raises(LiftError, match="^lift height is nan on segment 1$"):
             lift_endpoint(system, path, 0.0, 1e-12)
+
+    @pytest.mark.parametrize("slope, u_range", [
+        (1000, (-1.0, 1.0)),  # a = exp(1000) overflows, and b = 0*inf is nan
+        (705, (-1e5, 1e5)),  # a = exp(705) is finite, a*1e5 is not
+    ])
+    def test_overflowing_map_is_infinite(self, slope, u_range):
+        system = WorkSystem.build("steep", contact3().chart, {"V1": f"{slope}*U", "V2": "0"})
+        path = [(0.0, 0.0), (1.0, 0.0)]
+        infinite = "^lift height is infinite on segment 0$"
+        with pytest.raises(PathLiftError, match=infinite) as failure:
+            _maps(system, [[(0.0, 0.0), (0.5, 0.0)], path], u_range)
+        assert failure.value.path == 1
+        with pytest.raises(LiftError, match=infinite):
+            lift_endpoint(system, path, u_range[1], 1e-12)
 
     def test_no_convergence_at_the_doubling_cap(self):
         # 1/V1 is infinite at t = 1/3, which no panel edge or node meets

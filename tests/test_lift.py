@@ -135,6 +135,17 @@ class TestLiftCurve:
             lift_endpoint(system, points, 0.0, fixed_steps=fixed_steps)
         assert time.perf_counter() - start < 1.0
 
+    def test_infinite_height_ends_the_lift(self):
+        # dU/dV1 = 1000*U from U = 1 reaches exp(1000), beyond every float
+        system = WorkSystem.build("steep", CHART3, {"V1": "1000*U", "V2": "0"})
+        points = [(0.0, 0.0), (1.0, 0.0)]
+        start = time.perf_counter()
+        with pytest.raises(LiftError, match="^lift height is infinite on segment 0$"):
+            lift_curve(system, BaseCurve.polyline(CHART3, points), 1.0)
+        with pytest.raises(LiftError, match="^lift height is infinite on segment 0$"):
+            lift_endpoint(system, points, 1.0)
+        assert time.perf_counter() - start < 1.0
+
     def test_coefficient_skipped_where_its_velocity_is_zero(self):
         # P_V1 = sqrt(V2) is undefined at V2 < 0, but this path never moves V1
         system = WorkSystem.build("skip", CHART3, {"V1": "sqrt(V2)", "V2": "1"})
@@ -152,6 +163,7 @@ class TestLiftCurve:
         rows = list(result.csv_rows())
         assert len(rows) == len(result.times)
         assert len(rows[0]) == len(result.csv_columns) == 6
+        assert result.csv_rows().shape == (len(result.times), 6)
 
 
 class TestLoopHolonomy:
