@@ -9,6 +9,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Iterable, Sequence
 
@@ -119,7 +120,9 @@ def _cmd_phase(args: argparse.Namespace, setup: SystemSetup) -> Outcome:
     return report.summary(), True, ("revolution", "cumulative_delta_u"), rows
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it as it was)."""
     parser = argparse.ArgumentParser(
         prog="heatgauge",
         description="Adiabatic connections on work line bundles: flatness, "

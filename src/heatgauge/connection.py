@@ -10,6 +10,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from . import expr
 from .expr import Expression
 from .geometry import (DifferentialForm, VectorField, exterior_derivative,
@@ -116,7 +118,9 @@ class FlatnessReport:
     max_curvature: float
     flat: bool
     curvature_symbolic: dict[tuple[int, int], Expression]
-    samples: list[tuple] = field(repr=False, default_factory=list)
+    # 2-D float array, one row per grid node in row-major order, columns as in
+    # sample_columns; each row has the bits of a per-node compile_tuple call
+    samples: np.ndarray = field(repr=False, compare=False, default=None)
     sample_columns: tuple[str, ...] = ()
 
     def summary(self) -> str:
@@ -143,13 +147,16 @@ def grid_points(region: Region, coords: tuple[str, ...], grid: int) -> Iterator[
 
 
 def flatness(system: WorkSystem, region: Region, grid: int = 11,
-             tol: float = FLATNESS_TOL, collect_samples: bool = True) -> FlatnessReport:
+             tol: float = FLATNESS_TOL) -> FlatnessReport:
     """Sample the curvature components F_ij over a grid and give a verdict.
 
     The verdict is flat iff the grid maximum of |F_ij| is below tol. The
-    components are compiled into one function (expr.compile_tuple). A
+    components are compiled into one function (expr.compile_tuple), called
+    once with the grid's coordinate columns as arrays: its arithmetic runs
+    vectorised and its checked functions run the scalar code on each
+    element, so every sample has the bits of a call at its node. A
     component that fails to evaluate, or is nan, at a grid point raises
-    ConnectionError_ naming the point.
+    ConnectionError_ naming the first such point in row-major order.
     """
     chart = system.chart
     missing = set(chart.coords) - set(region)
@@ -158,21 +165,27 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
     matrix = curvature_matrix(system)
     values_at = expr.compile_tuple([e for _, e in matrix.pairs()], chart.coords)
     columns = chart.coords + tuple(f"F_{i}{j}" for (i, j), _ in matrix.pairs())
-    max_f = 0.0
-    samples = []
-    for node in grid_points(region, chart.coords, grid):
-        try:
-            values = values_at(*node)
-        except expr.EvalError as exc:
+    k = len(chart.coords)
+    samples = np.empty((grid ** k, len(columns)))
+    samples[:, :k] = np.fromiter(itertools.chain.from_iterable(
+        grid_points(region, chart.coords, grid)), float).reshape(-1, k)
+    try:
+        with np.errstate(all="ignore"):
+            for j, value in enumerate(values_at(*samples[:, :k].T), k):
+                samples[:, j] = value
+        max_f = float(np.abs(samples[:, k:]).max(initial=0.0))  # nan if any F is nan
+    except expr.EvalError:
+        max_f = float("nan")
+    if max_f != max_f:
+        for node in samples[:, :k].tolist():  # name the first failing node
             point = dict(zip(chart.coords, node))
-            raise ConnectionError_(f"evaluation failed at grid point {point}: {exc}") from exc
-        for name, v in zip(columns[len(node):], values):
-            if v != v:  # nan, which max() would pass over
-                point = dict(zip(chart.coords, node))
-                raise ConnectionError_(f"evaluation failed at grid point {point}: {name} is nan")
-            max_f = max(max_f, abs(v))
-        if collect_samples:
-            samples.append(node + values)
+            try:
+                values = values_at(*node)
+            except expr.EvalError as exc:
+                raise ConnectionError_(f"evaluation failed at grid point {point}: {exc}") from exc
+            for name, v in zip(columns[k:], values):
+                if v != v:
+                    raise ConnectionError_(f"evaluation failed at grid point {point}: {name} is nan")
     return FlatnessReport(
         system_name=system.name,
         region={c: tuple(region[c]) for c in chart.coords},

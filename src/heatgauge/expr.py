@@ -8,7 +8,7 @@ differentiate and unparse handle a shared node once per call. One emitter
 (_emit) writes straight-line code with one temporary per distinct node for
 four targets: one function per expression (compile_expression), one
 function returning several expressions' values as a tuple (compile_tuple,
-one per flatness check), the same tuple function over numpy arrays
+one per flatness check), the same tuple function on numpy's functions
 (compile_array, which entropy.reconstruct evaluates on every quadrature
 node of every base path at once) and one RK4 kernel per system and
 straight-segment velocity pattern (segment_kernel). The caches key on one
@@ -20,6 +20,7 @@ parentheses, and the functions sin, cos, tan, exp, log, sqrt, abs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -187,6 +188,20 @@ def _array_trig(func: Callable):
     return checked
 
 
+def _per_element(func: Callable[..., float]) -> Callable:
+    """func on floats, or on each element of 1-D arrays of one length."""
+    def each(*args):
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return func(*args)
+        return np.fromiter(map(func, *(a.tolist() if isinstance(a, np.ndarray)
+                                       else itertools.repeat(a) for a in args)), float)
+    return each
+
+
+# compile_tuple's functions: / and abs as float or array operations, the others per element.
+_TUPLE_FUNCTIONS: dict[str, Callable] = {n: _per_element(f) for n, f in _FUNCTIONS.items()}
+_TUPLE_FUNCTIONS.update(abs=abs, div=_array_div)
+
 _ARRAY_FUNCTIONS: dict[str, Callable] = {
     "sin": _array_trig(np.sin),
     "cos": _array_trig(np.cos),
@@ -281,30 +296,25 @@ def call(func: str, arg: Expression) -> Expression:
 # ---------------------------------------------------------------------------
 # Parser
 
+# One alternative per token kind, then whitespace and any other single
+# character, so that finditer reads the whole source in one pass.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)", re.DOTALL)
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(source) - len(stripped)
-            raise ParseError(f"unexpected character {source[bad_at]!r}", bad_at)
-        for kind in ("num", "name", "op"):
-            text = m.group(kind)
-            if text is not None:
-                tokens.append((kind, text, m.start(kind)))
-                break
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -702,7 +712,10 @@ def compile_tuple(expressions: Sequence[Expression],
     values as a tuple, computing the subexpressions they share once.
 
     The expressions are computed in order, so values and the first
-    EvalError match evaluate() on each in turn, bit for bit. Shares
+    EvalError match evaluate() on each in turn, bit for bit. Given 1-D
+    arrays, + - * / and negation run vectorised and the checked functions
+    (sin cos tan exp log sqrt ^) run their scalar code per element, so
+    each element has the bits of a call at its point. Shares
     compile_expression's cache, keyed by the expressions' structural keys.
     """
     try:
@@ -756,7 +769,8 @@ def _compile(shape: tuple, coords: tuple[str, ...]) -> Callable[..., float]:
         return _define("_compiled", params, ["with _errstate(all='ignore'):",
                                              *("    " + line for line in body)],
                        _ARRAY_FUNCTIONS)
-    return _define("_compiled", params, body)
+    return _define("_compiled", params, body,
+                   _TUPLE_FUNCTIONS if shape[0] == "tuple" else _FUNCTIONS)
 
 
 compile_expression.cache_info = _compile.cache_info

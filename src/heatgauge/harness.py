@@ -114,7 +114,7 @@ def random_curved_system(rng: random.Random, region: Region | None = None,
         bump = expr.mul(expr.const(c), expr.call("sin", expr.mul(expr.const(k), expr.var("V2"))))
         coeffs = (expr.add(base.coefficients[0], bump),) + base.coefficients[1:]
         system = WorkSystem(name, base.chart, coeffs)
-        if flatness(system, region, grid=5, collect_samples=False).max_curvature > 1e-4:
+        if flatness(system, region, grid=5).max_curvature > 1e-4:
             return system
     raise HarnessError("failed to generate a clearly curved system")
 
@@ -207,7 +207,7 @@ def equivalence_test(system: WorkSystem, region: Region, grid: int = 7,
     if loops is None:
         loops = default_loop_family(chart, region)
     ref_base = {c: 0.5 * (region[c][0] + region[c][1]) for c in chart.base}
-    flat_report = flatness(system, region, grid=grid, collect_samples=False)
+    flat_report = flatness(system, region, grid=grid)
     entropy_chart = reconstruct(system, ref_base, region, grid=min(grid, 5))
     residual = residual_report(entropy_chart)
     u_mid = 0.5 * (region[chart.vertical][0] + region[chart.vertical][1])
@@ -266,7 +266,7 @@ def phase_demo(system: WorkSystem, revolutions: int, u0: float = 0.0,
         cumulative.append(u - float(u0))
     span = max(1.0, max(abs(v) for v in cumulative))
     region = {chart.vertical: (u0 - span, u0 + span), coord: (0.0, period)}
-    flat_report = flatness(system, region, grid=7, collect_samples=False)
+    flat_report = flatness(system, region, grid=7)
     return PhaseReport(
         cumulative=tuple(cumulative),
         flat=flat_report.flat,

@@ -240,8 +240,8 @@ def test_criterion_8_gauge_covariance():
     for system, expect_flat in ((flat3(), True), (contact3(), False)):
         gauged = apply_gauge(system, gauge)
         verdicts_ok = verdicts_ok and (
-            flatness(gauged, REGION3, grid=5, collect_samples=False).flat
-            == flatness(system, REGION3, grid=5, collect_samples=False).flat
+            flatness(gauged, REGION3, grid=5).flat
+            == flatness(system, REGION3, grid=5).flat
             == expect_flat)
     loop = square_loop(contact3().chart, (0.1, -0.1), 0.4)
     du = lift_curve(contact3(), loop, 0.5).delta_u

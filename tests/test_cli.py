@@ -1,9 +1,13 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from heatgauge.cli import main
+import heatgauge
+from heatgauge.cli import build_parser, main
 from heatgauge.systemio import (InputError, builtin_setup, parse_curve_file,
                                 parse_system_file)
 
@@ -348,3 +352,41 @@ class TestSystemIO:
         ini.write_text(CURVE_INI)
         curve = parse_curve_file(str(ini), chart)
         assert curve.is_closed()
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process and reuses it."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_each_call_runs_as_it_runs_alone(self, system_file, square_curve, tmp_path,
+                                             capsys):
+        check_csv, lift_csv = tmp_path / "check.csv", tmp_path / "lift.csv"
+        calls = [["check", "--unknown-option"],
+                 ["check", "--file", system_file, "--csv", str(check_csv)],
+                 ["lift", "--file", system_file, "--curve", square_curve,
+                  "--out", str(lift_csv)]]
+        src = os.path.dirname(os.path.dirname(heatgauge.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        alone = []
+        for argv in calls:
+            run = subprocess.run([sys.executable, "-m", "heatgauge.cli", *argv], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            alone.append((run.returncode, run.stdout, run.stderr,
+                          check_csv.read_bytes() if check_csv.exists() else b"",
+                          lift_csv.read_bytes() if lift_csv.exists() else b""))
+        check_csv.unlink()
+        lift_csv.unlink()
+        together = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            together.append((code, out, err,
+                             check_csv.read_bytes() if check_csv.exists() else b"",
+                             lift_csv.read_bytes() if lift_csv.exists() else b""))
+        assert [c[0] for c in together] == [2, 2, 0]
+        assert together == alone

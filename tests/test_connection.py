@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from heatgauge import connection, expr
-from heatgauge.bundle import WorkSystem, contact3, flat3, ideal_gas, wankel, zero_work
+from heatgauge.bundle import (GaugeTransform, WorkSystem, apply_gauge, contact3, flat3, ideal_gas,
+                              wankel, zero_work)
 from heatgauge.connection import (ConnectionError_, curvature_matrix, flatness,
                                   frobenius_defect, grid_points, horizontal_lift_vector,
                                   vertical_component)
@@ -97,7 +99,7 @@ class TestFrobeniusDefect:
     def test_defect_and_curvature_vanish_together(self, rng):
         for _ in range(5):
             for system in (random_flat_system(rng), random_curved_system(rng)):
-                report = flatness(system, REGION3, grid=5, collect_samples=False)
+                report = flatness(system, REGION3, grid=5)
                 coords = system.chart.coords
                 defect = expr.compile_tuple(
                     [e for _, e in frobenius_defect(system).components], coords)
@@ -249,3 +251,92 @@ class TestFlatness:
         assert len(report.samples) == 27
         assert "curved" in report.summary()
         assert "F[1,2]" in report.summary()
+
+
+def _per_node_samples(system, region, grid):
+    """Each grid node's coordinates and compile_tuple's values there, as
+    float.hex: the samples as a scalar call per node gives them."""
+    matrix = curvature_matrix(system)
+    values_at = expr.compile_tuple([e for _, e in matrix.pairs()], system.chart.coords)
+    return [[v.hex() for v in node + values_at(*node)]
+            for node in grid_points(region, system.chart.coords, grid)]
+
+
+class TestGridArrays:
+    """flatness calls its compile_tuple function once, on the grid's
+    coordinate columns; every sample keeps the bits of a scalar call at
+    its node, and a failure names the first failing node."""
+
+    @staticmethod
+    def _potential_systems(rng):
+        for m in (2, 3, 4):
+            base = [f"V{i}" for i in range(1, m + 1)]
+            for flat in (True, False):
+                system = _random_system(rng, m, flat)
+                gauge = GaugeTransform(
+                    expr.add(expr.const(1.5), expr.mul(expr.const(0.5), expr.call(
+                        "sin", random_expression(rng, base)))),
+                    random_expression(rng, base))
+                yield system
+                yield apply_gauge(system, gauge)
+        # F_12 = -(U*V1): -0.0 where U > 0 and V1 = 0
+        yield WorkSystem.build("signed_zero", contact3().chart, {"V1": "U*V1*V2", "V2": "0"})
+
+    def test_samples_equal_per_node_calls_bit_for_bit(self, rng):
+        negative_zeros = 0
+        for system in self._potential_systems(rng):
+            coords = system.chart.coords
+            region = {c: (-0.6, 0.6) for c in coords}
+            for grid in (1, 3, 4):
+                report = flatness(system, region, grid=grid)
+                want = _per_node_samples(system, region, grid)
+                assert [[v.hex() for v in row] for row in report.samples.tolist()] == want
+                assert report.max_curvature == max(
+                    [0.0] + [abs(float.fromhex(v)) for row in want for v in row[len(coords):]])
+                negative_zeros += sum(v == "-0x0.0p+0" for row in want for v in row[len(coords):])
+        assert negative_zeros > 0
+
+    def test_midpoint_grid(self):
+        report = flatness(contact3(), {"U": (0.0, 1.0), "V1": (-1.0, 0.5), "V2": (2.0, 3.0)},
+                          grid=1)
+        assert report.samples.tolist() == [[0.5, -0.25, 2.5, 1.0]]
+
+    def test_one_base_coordinate_has_no_components(self):
+        region = {"U": (1.0, 2.0), "V": (1.0, 2.0)}
+        report = flatness(ideal_gas(), region, grid=3)
+        assert report.sample_columns == ("U", "V")
+        assert report.samples.tolist() == [list(node) for node in
+                                           grid_points(region, ("U", "V"), 3)]
+        assert report.max_curvature == 0.0 and report.flat
+
+    def test_nan_at_an_earlier_node_beats_an_error_at_a_later_one(self):
+        # F_12 = -g(V1): nan at V1 = -1, sqrt of a negative value at V1 = 1
+        system = WorkSystem.build("nan_then_error", contact3().chart,
+                                  {"V1": "V2*((V1 + 1)*(1e200*1e200) + sqrt(-V1))", "V2": "0"})
+        with pytest.raises(ConnectionError_) as info:
+            flatness(system, REGION3, grid=3)
+        assert str(info.value) == ("evaluation failed at grid point "
+                                   "{'U': -1.0, 'V1': -1.0, 'V2': -1.0}: F_12 is nan")
+        with pytest.raises(ConnectionError_, match="sqrt of negative value$"):
+            flatness(system, {"U": (-1, 1), "V1": (0.5, 1), "V2": (-1, 1)}, grid=3)
+
+    def test_the_first_node_s_error_wins(self):
+        # log(-V1) fails at V1 >= 0 and is computed first; sqrt(V1) fails at V1 = -1
+        system = WorkSystem.build("two_errors", contact3().chart,
+                                  {"V1": "V2*(log(-V1) + sqrt(V1))", "V2": "0"})
+        with pytest.raises(ConnectionError_) as info:
+            flatness(system, REGION3, grid=3)
+        assert str(info.value) == ("evaluation failed at grid point "
+                                   "{'U': -1.0, 'V1': -1.0, 'V2': -1.0}: sqrt of negative value")
+
+    @pytest.mark.parametrize("source, column, message", [
+        ("x^400", [1.0, 10.0, 2.0], "overflow in power"),
+        ("2^x", [1.0, 2000.0, 2.0], "overflow in power"),
+        ("sin(x)", [0.0, float("inf"), 1.0], "trigonometric function of an infinite value"),
+    ])
+    def test_whole_columns_raise_the_scalar_texts(self, source, column, message):
+        values_at = expr.compile_tuple([expr.parse(source)], ("x",))
+        with pytest.raises(expr.EvalError, match=f"^{message}$"):
+            values_at(np.array(column))
+        with pytest.raises(expr.EvalError, match=f"^{message}$"):
+            values_at(column[1])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 import weakref
 
@@ -60,6 +61,60 @@ class TestParse:
     def test_unknown_function_rejected(self):
         with pytest.raises(ParseError, match="unknown function"):
             parse("sinh(x)")
+
+
+# The tokenizer as it was before its one-pass form: one match per token
+# after optional whitespace, and str.lstrip to find a bad character.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def _reference_tokenize(source):
+    tokens = []
+    pos = 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN_RE.match(source, pos)
+        if m is None:
+            stripped = source[pos:].lstrip()
+            if not stripped:
+                break
+            bad_at = len(source) - len(stripped)
+            raise ParseError(f"unexpected character {source[bad_at]!r}", bad_at)
+        for kind in ("num", "name", "op"):
+            text = m.group(kind)
+            if text is not None:
+                tokens.append((kind, text, m.start(kind)))
+                break
+        pos = m.end()
+    tokens.append(("end", "", len(source)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, source):
+    try:
+        return tokenize(source)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+class TestTokenize:
+    # digits, number and operator characters, letters, a character no
+    # token starts with, an Arabic-Indic digit (\d matches it) and
+    # whitespace that \s and str.isspace both know
+    ALPHABET = "0123456789.eE+-*/^()xyUV_$\u0663 \t\n\x0b\x0c\u3000"
+
+    def test_same_tokens_or_error_as_the_reference(self):
+        rng = random.Random(7)
+        errors = 0
+        for _ in range(20000):
+            source = "".join(rng.choices(self.ALPHABET, k=rng.randrange(13)))
+            want = _tokens_or_error(_reference_tokenize, source)
+            assert _tokens_or_error(expr._tokenize, source) == want, repr(source)
+            errors += isinstance(want[0], str)
+        assert 2000 < errors < 18000
 
 
 class TestEvaluate:

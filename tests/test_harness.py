@@ -115,14 +115,14 @@ class TestRandomSystems:
         rng = random.Random(5)
         for _ in range(5):
             system = random_flat_system(rng)
-            assert flatness(system, REGION3, grid=4, collect_samples=False).flat
+            assert flatness(system, REGION3, grid=4).flat
 
     def test_curved_systems_are_curved(self):
         from heatgauge.connection import flatness
         rng = random.Random(6)
         for _ in range(5):
             system = random_curved_system(rng, SMALL3)
-            report = flatness(system, SMALL3, grid=4, collect_samples=False)
+            report = flatness(system, SMALL3, grid=4)
             assert report.max_curvature > 1e-4
 
 
