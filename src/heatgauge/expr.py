@@ -10,8 +10,10 @@ four targets: one function per expression (compile_expression), one
 function returning several expressions' values as a tuple (compile_tuple,
 one per flatness check), the same tuple function on numpy's functions
 (compile_array, which entropy.reconstruct evaluates on every quadrature
-node of every base path at once) and one RK4 kernel per system and
-straight-segment velocity pattern (segment_kernel). The caches key on one
+node of every base path at once) and one RK4 kernel per system,
+straight-segment velocity pattern and recording flag (segment_kernel, on
+which lift.lift_curve and lift.lift_endpoint run every polyline segment;
+lift_curve records the samples it keeps). The caches key on one
 structural key (_shape) that tells signed zeros apart; compile_expression,
 compile_tuple and compile_array share one cache.
 
@@ -778,7 +780,7 @@ compile_expression.cache_clear = _compile.cache_clear
 
 
 def segment_kernel(coefficients: tuple[Expression, ...], coords: tuple[str, ...],
-                   mask: tuple[bool, ...]) -> Callable[..., float]:
+                   mask: tuple[bool, ...], record: bool = False) -> Callable[..., float]:
     """RK4 over one straight polyline segment, as one generated function.
 
     coords[0] is the fibre coordinate U and coords[1:] the base
@@ -788,13 +790,15 @@ def segment_kernel(coefficients: tuple[Expression, ...], coords: tuple[str, ...]
     kernel(a, d, k, u, n): segment k of a polyline runs over t in
     [k, k + 1] from base point a with velocity d, and the kernel takes n
     classical RK4 steps of dU/dt = sum_i P_i(U, a + (t - k) d) d_i from
-    height u and returns the end height.
+    height u and returns the end height. With record, it returns
+    (end height, times, heights) instead: the n + 1 sample times k and
+    k + (j+1)*h and the heights there, from u on.
 
     Kernels are generated on first use and cached by the structural keys
-    of the coefficients, the coordinates and the mask.
+    of the coefficients, the coordinates, the mask and record.
     """
     return _segment_kernel(tuple(_shape(p) for p in coefficients), tuple(coords),
-                           tuple(mask))
+                           tuple(mask), bool(record))
 
 
 # The kernel performs the same IEEE operations, in the same order, as
@@ -807,10 +811,12 @@ def segment_kernel(coefficients: tuple[Expression, ...], coords: tuple[str, ...]
 #   midpoint); k4 and the next step's k1 share nothing, as t + h and
 #   t0 + (j+1)*h round differently;
 # - each stage sums 0.0 + P_i * d_i in coefficient order over the
-#   masked coefficients; positions are a_i + (t - k) * d_i.
+#   masked coefficients; positions are a_i + (t - k) * d_i;
+# - a recording kernel appends t0 + (j+1)*h and the new height after
+#   each step, as _rk4 does.
 @lru_cache(maxsize=1024)
 def _segment_kernel(shapes: tuple[tuple, ...], coords: tuple[str, ...],
-                    mask: tuple[bool, ...]) -> Callable[..., float]:
+                    mask: tuple[bool, ...], record: bool) -> Callable[..., float]:
     vertical = coords[0]
     base = {c: i for i, c in enumerate(coords[1:])}
     terms = [(shape, f"d{i}") for i, (shape, on) in enumerate(zip(shapes, mask)) if on]
@@ -850,6 +856,7 @@ def _segment_kernel(shapes: tuple[tuple, ...], coords: tuple[str, ...],
         *positions("t + h"),
         "w = u + h * k3", *k4,
         "u = u + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)",
+        *(["ts.append(t0 + (j + 1) * h)", "us.append(u)"] if record else []),
     ]
     return _define("_segment", "a, d, k, u, n", [
         "".join(f"a{i}, " for i in range(m)) + "= a",
@@ -858,7 +865,8 @@ def _segment_kernel(shapes: tuple[tuple, ...], coords: tuple[str, ...],
         "h = (float(k + 1) - t0) / n",
         "half = 0.5 * h",
         "sixth = h / 6.0",
+        *(["ts = [t0]", "us = [u]"] if record else []),
         "for j in range(n):",
         *("    " + line for line in steps),
-        "return u",
+        "return u, ts, us" if record else "return u",
     ])

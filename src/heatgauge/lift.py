@@ -199,7 +199,9 @@ def _rhs(fns: Sequence[Callable[..., float]]) -> Callable[..., float]:
     return f
 
 
-# _rk4 gives the same bits as the textbook loop that evaluates
+# _rk4 integrates parametric and reversed curves; polylines run on the
+# generated kernel (expr.segment_kernel), in lift_curve and lift_endpoint
+# alike. _rk4 gives the same bits as the textbook loop that evaluates
 # f(t, u) = P(u, position(t)) . velocity(t) afresh for every stage:
 # - position and velocity are pure, so k2 and k3 share one evaluation of
 #   them at t + h/2;
@@ -211,12 +213,12 @@ def _rhs(fns: Sequence[Callable[..., float]]) -> Callable[..., float]:
 # - the sum starts from 0.0 and adds terms in coefficient order;
 # - k1 is evaluated before the midpoint position, so where both would
 #   fail on a parametric curve the same EvalError comes first.
-# f calls coefficients built by compile_expression; the kernel behind
-# lift_endpoint (expr.segment_kernel) is written by the same emitter
-# (expr._emit), so both compute each coefficient by the same operations.
-# The kernel keeps every invariant above on straight segments, with a
-# zero-velocity mask in place of the dvi != 0.0 skip, so the two paths
-# agree bit for bit.
+# f calls coefficients built by compile_expression; the kernel is written
+# by the same emitter (expr._emit), so both compute each coefficient by
+# the same operations. The kernel keeps every invariant above on straight
+# segments, with a zero-velocity mask in place of the dvi != 0.0 skip, and
+# records the same sample times, so on a polyline's segments the two
+# agree bit for bit (tests/test_kernel.py holds the kernel to _rk4).
 def _rk4(f: Callable[..., float], seg: _Segment, u0: float, n: int,
          record: bool = False):
     position, velocity = seg.position, seg.velocity
@@ -292,14 +294,17 @@ def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
 
     Each segment is integrated with n and 2n steps; n doubles, at most
     MAX_HALVINGS times, until the two answers agree to step_tol per unit
-    parameter, and the finer answer is kept. fixed_steps takes that many
+    parameter, and the finer answer is kept. A polyline's segments run on
+    the generated kernel (expr.segment_kernel), other curves on _rk4. fixed_steps takes that many
     steps per segment (at least 2) with no adaptivity; the tests use it as
     the reference for lift_endpoint's fixed-step runs, which entropy's
     finite differences make.
     """
     if system.chart != curve.chart:
         raise LiftError("curve and system live on different charts")
-    f = _rhs([compile_expression(p, system.chart.coords) for p in system.coefficients])
+    points = curve.points
+    if points is None:
+        f = _rhs([compile_expression(p, system.chart.coords) for p in system.coefficients])
     times: list[float] = []
     bases: list[tuple[float, ...]] = []
     energies: list[float] = []
@@ -309,9 +314,12 @@ def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
     u = float(u0)
     total_error = 0.0
     for seg_index, seg in enumerate(curve.segments):
+        if points is None:
+            run = lambda n, record: _rk4(f, seg, u, n, record=record)
+        else:
+            run = _kernel_run(system, points, seg_index, u)
         (u, ts, us), n, seg_error = _integrate_segment(
-            lambda n, record: _rk4(f, seg, u, n, record=record),
-            seg.t1 - seg.t0, step_tol, fixed_steps, seg_index)
+            run, seg.t1 - seg.t0, step_tol, fixed_steps, seg_index)
         total_error += seg_error
         start_idx = len(times)
         times.extend(ts)
@@ -342,16 +350,32 @@ def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
     )
 
 
+def _kernel_run(system: WorkSystem, points: Sequence[tuple[float, ...]], k: int,
+                u: float) -> Callable[[int, bool], tuple]:
+    """run(n, record) for _integrate_segment over segment k of a polyline
+    from height u, on the generated kernels: (u, None, None) without
+    record, (u, times, heights) with it, as _rk4 returns."""
+    a = points[k]
+    d = tuple(bi - ai for ai, bi in zip(a, points[k + 1]))
+    mask = tuple(di != 0.0 for di in d)
+    coords = system.chart.coords
+    plain = expr.segment_kernel(system.coefficients, coords, mask)
+    recording = expr.segment_kernel(system.coefficients, coords, mask, record=True)
+    return lambda n, record: (recording(a, d, k, u, n) if record
+                              else (plain(a, d, k, u, n), None, None))
+
+
 def lift_endpoint(system: WorkSystem, points: Sequence[Sequence[float]], u0: float,
                   step_tol: float = DEFAULT_STEP_TOL,
                   fixed_steps: int | None = None) -> tuple[float, list[int]]:
     """End height and step counts of the lift over a polyline.
 
-    points are two or more base-coordinate tuples. The result equals, bit
-    for bit, energies[-1] and steps_per_segment of lift_curve over
-    BaseCurve.polyline(system.chart, points) with the same arguments, and
-    a failing lift raises the same LiftError; each segment runs in one
-    generated kernel (expr.segment_kernel) and no samples are recorded.
+    points are two or more base-coordinate tuples. Each segment runs in
+    the generated kernel (expr.segment_kernel) that lift_curve runs over
+    BaseCurve.polyline(system.chart, points), with no samples recorded;
+    so the result equals energies[-1] and steps_per_segment of that
+    lift_curve with the same arguments, and a failing lift raises the same
+    LiftError.
     """
     rows = [tuple(float(x) for x in p) for p in points]
     coords = system.chart.coords
