@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import expr
 from .bundle import WorkSystem
-from .connection import FlatnessReport, flatness
+from .connection import flatness
 from .entropy import ResidualSummary, reconstruct, residual_report
 from .geometry import Chart
 from .lift import BaseCurve, lift_curve, square_loop
@@ -174,7 +174,6 @@ class EquivalenceReport:
     flatness_pass: bool
     holonomy_pass: bool
     residual_summary: ResidualSummary
-    flatness_report: FlatnessReport = field(repr=False)
     max_holonomy: float = 0.0
     holonomy_tol: float = HOLONOMY_TOL
 
@@ -198,10 +197,13 @@ def equivalence_test(system: WorkSystem, region: Region, grid: int = 7,
 
     Flatness samples a grid of grid nodes per axis; the entropy chart is
     reconstructed on at most 5 per axis from the middle of the base box;
-    holonomy closure is jauch_test's verdict on the loops (by default
-    default_loop_family with seed 0) lifted from the middle of the U
-    range. Each verdict uses the library's default tolerance. A loop that
-    is not closed raises HarnessError.
+    holonomy closure holds if jauch_test holds on the loops (by default
+    default_loop_family with seed 0) lifted from both ends of the U range,
+    and max_holonomy is the larger of the two max |dU|. For a system
+    affine in U a loop maps u to a*u + b, so dU = (a - 1)*u + b is affine
+    in u and the two ends bound it at every level between. Each verdict
+    uses the library's default tolerance. A loop that is not closed
+    raises HarnessError.
     """
     chart = system.chart
     if loops is None:
@@ -210,16 +212,15 @@ def equivalence_test(system: WorkSystem, region: Region, grid: int = 7,
     flat_report = flatness(system, region, grid=grid)
     entropy_chart = reconstruct(system, ref_base, region, grid=min(grid, 5))
     residual = residual_report(entropy_chart)
-    u_mid = 0.5 * (region[chart.vertical][0] + region[chart.vertical][1])
-    closure = jauch_test(system, loops, u_mid)
+    u_lo, u_hi = region[chart.vertical]
+    closures = [jauch_test(system, loops, u0) for u0 in (u_lo, u_hi)]
     return EquivalenceReport(
         residual_pass=residual.passed,
         flatness_pass=flat_report.flat,
-        holonomy_pass=closure.holds,
+        holonomy_pass=all(c.holds for c in closures),
         residual_summary=residual,
-        flatness_report=flat_report,
-        max_holonomy=closure.max_delta_u,
-        holonomy_tol=closure.tolerance,
+        max_holonomy=max(c.max_delta_u for c in closures),
+        holonomy_tol=closures[0].tolerance,
     )
 
 

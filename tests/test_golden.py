@@ -88,7 +88,7 @@ def test_criterion_3_first_flat_system_report():
         "residual_summary=ResidualSummary(max_residual=2.063504922489301e-11, "
         "mean_residual=7.183772352707438e-12, tolerance=1e-06, "
         "path_dependence=1.887379141862766e-16, path_dependent=False, "
-        "passed=True), max_holonomy=2.262273701703066e-12, holonomy_tol=1e-07)")
+        "passed=True), max_holonomy=6.938449814697378e-12, holonomy_tol=1e-07)")
 
 
 def test_ideal_gas_reconstruction_nodes():
@@ -118,7 +118,7 @@ def test_criterion_3_first_curved_system_report():
         "residual_summary=ResidualSummary(max_residual=0.10663708296158406, "
         "mean_residual=0.08809905622284758, tolerance=1e-06, "
         "path_dependence=0.13507004239563952, path_dependent=True, "
-        "passed=False), max_holonomy=0.04965150770895654, holonomy_tol=1e-07)")
+        "passed=False), max_holonomy=0.04965150770976179, holonomy_tol=1e-07)")
 
 
 def test_contact3_entropy_cli_bytes(tmp_path, capsys):

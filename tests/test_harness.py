@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from heatgauge.bundle import contact3, flat3, ideal_gas, wankel, zero_work
+from heatgauge.bundle import WorkSystem, contact3, flat3, ideal_gas, wankel, zero_work
 from heatgauge.harness import (HarnessError, default_loop_family,
                                equivalence_test, jauch_test, out_and_back,
                                phase_demo, random_curved_system,
@@ -101,6 +101,22 @@ class TestEquivalence:
         rng = random.Random(12)
         report = equivalence_test(random_curved_system(rng, SMALL3), SMALL3, grid=4)
         assert report.agree and not report.flatness_pass
+
+    @pytest.mark.parametrize("p1, p2, region", [
+        ("U*V2", "0", REGION3),
+        ("(U - 0.3)*V2", "0", {"U": (-0.4, 1.0), "V1": (-1, 1), "V2": (-1, 1)}),
+        ("0", "V1*V2*U", SMALL3),
+    ], ids=["U*V2", "(U-0.3)*V2", "V1*V2*U"])
+    def test_curvature_zero_at_mid_u_still_breaks_closure(self, p1, p2, region):
+        # F = -U, 0.3 - U and V2*U vanish at the middle of the U range, where
+        # every loop closes; lifts from both ends of the range do not
+        system = WorkSystem.build("mid_u_flat", contact3().chart, {"V1": p1, "V2": p2})
+        loops = default_loop_family(system.chart, region, seed=0, square_centers=2,
+                                    square_sizes=(0.15, 0.3), random_loops=2)
+        report = equivalence_test(system, region, grid=4, loops=loops)
+        assert report.agree
+        assert not (report.residual_pass or report.flatness_pass or report.holonomy_pass)
+        assert report.max_holonomy > 1e-3
 
 
     def test_rejects_open_loops(self):
