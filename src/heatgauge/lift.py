@@ -295,10 +295,10 @@ def lift_curve(system: WorkSystem, curve: BaseCurve, u0: float,
     Each segment is integrated with n and 2n steps; n doubles, at most
     MAX_HALVINGS times, until the two answers agree to step_tol per unit
     parameter, and the finer answer is kept. A polyline's segments run on
-    the generated kernel (expr.segment_kernel), other curves on _rk4. fixed_steps takes that many
-    steps per segment (at least 2) with no adaptivity; the tests use it as
-    the reference for lift_endpoint's fixed-step runs, which entropy's
-    finite differences make.
+    the generated kernel (expr.segment_kernel), other curves on _rk4.
+    fixed_steps takes that many steps per segment (at least 2) with no
+    adaptivity; the tests use it as the reference for lift_endpoint's
+    fixed-step runs, which entropy's finite differences make.
     """
     if system.chart != curve.chart:
         raise LiftError("curve and system live on different charts")
