@@ -39,6 +39,7 @@ def _on_rk4(curve):
     them with _rk4 instead of the kernel."""
     return BaseCurve(curve.chart, curve.segments, curve.kind, curve.description)
 
+
 # (system, start height, polylines: general, axis-aligned, zero-length, staircase)
 CASES = {
     "flat_103": (FLAT, 0.3, [[(0.4, -0.5), (0.0, 0.0)], [(-0.6, 0.2), (0.0, 0.2)],
