@@ -7,6 +7,7 @@ P that shares only differentiate with curvature_matrix.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -155,8 +156,9 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
     once with the grid's coordinate columns as arrays: its arithmetic runs
     vectorised and its checked functions run the scalar code on each
     element, so every sample has the bits of a call at its node. A
-    component that fails to evaluate, or is nan, at a grid point raises
-    ConnectionError_ naming the first such point in row-major order.
+    component that fails to evaluate, or is nan or infinite, at a grid
+    point raises ConnectionError_ naming the first such point in
+    row-major order.
     """
     chart = system.chart
     missing = set(chart.coords) - set(region)
@@ -176,7 +178,7 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
         max_f = float(np.abs(samples[:, k:]).max(initial=0.0))  # nan if any F is nan
     except expr.EvalError:
         max_f = float("nan")
-    if max_f != max_f:
+    if not math.isfinite(max_f):
         for node in samples[:, :k].tolist():  # name the first failing node
             point = dict(zip(chart.coords, node))
             try:
@@ -184,8 +186,9 @@ def flatness(system: WorkSystem, region: Region, grid: int = 11,
             except expr.EvalError as exc:
                 raise ConnectionError_(f"evaluation failed at grid point {point}: {exc}") from exc
             for name, v in zip(columns[k:], values):
-                if v != v:
-                    raise ConnectionError_(f"evaluation failed at grid point {point}: {name} is nan")
+                if not math.isfinite(v):
+                    raise ConnectionError_(f"evaluation failed at grid point {point}: {name} is "
+                                           f"{'nan' if v != v else 'infinite'}")
     return FlatnessReport(
         system_name=system.name,
         region={c: tuple(region[c]) for c in chart.coords},

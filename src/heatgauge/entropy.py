@@ -16,7 +16,8 @@ alpha = sum_i A_i d_i and beta = sum_i B_i d_i along the segment,
 a = exp(int alpha) and b = int beta(t) exp(int_t^1 alpha) dt (variation of
 constants). A path's map composes its segments' maps. transport_maps
 computes one map per base path: it evaluates every P_i and A_i at every
-quadrature node of every path in one array call (expr.compile_array) and
+quadrature node of every path in one expr.compile_tuple call on 1-D
+coordinate columns, each value with the bits of a call at its node, and
 integrates on Chebyshev-Lobatto panels, doubling the panels until the
 heights at the ends of the U range settle. reconstruct then reads, per
 grid node, S = a*u + b at each U level of the node's base point and
@@ -38,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import (EvalError, Expression, compile_array, compile_expression, differentiate,
+from .expr import (EvalError, Expression, compile_expression, compile_tuple, differentiate,
                    variables)
 from .bundle import WorkSystem
 from .connection import grid_points
@@ -78,8 +79,6 @@ class EntropyChart:
     nodes: np.ndarray  # (n, dim) in chart coordinate order
     entropy: np.ndarray
     temperature: np.ndarray
-    # gradient of the reconstructed entropy, columns in chart coordinate order
-    entropy_gradient: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     path_dependence: float = 0.0
     path_dependent: bool = False
@@ -186,26 +185,19 @@ def reconstruct(system: WorkSystem, ref_base: Mapping[str, float],
 
     s_vals = []
     t_vals = []
-    grads = []
     residuals = []
-    u_pos = chart.index(chart.vertical)
-    base_pos = [chart.index(c) for c in chart.base]
     for node, (s, ds_du, ds_dv) in zip(nodes, derivatives):
         if abs(ds_du) < 1e-12:
             raise EntropyError(
                 f"degenerate vertical derivative of S at {dict(zip(chart.coords, node))}")
         temperature = 1.0 / ds_du
-        grad = [0.0] * chart.dim
-        grad[u_pos] = ds_du
         residual = 0.0
-        for k, i in enumerate(base_pos):
-            grad[i] = ds_dv[k]
+        for k in range(len(chart.base)):
             # heat form component along this base coordinate is -P_i
             xi_component = -p_fns[k](*node)
             residual = max(residual, abs(xi_component - temperature * ds_dv[k]))
         s_vals.append(s)
         t_vals.append(temperature)
-        grads.append(grad)
         residuals.append(residual)
 
     if slopes is None:
@@ -219,7 +211,6 @@ def reconstruct(system: WorkSystem, ref_base: Mapping[str, float],
         nodes=np.asarray(nodes),
         entropy=np.asarray(s_vals),
         temperature=np.asarray(t_vals),
-        entropy_gradient=np.asarray(grads),
         residuals=np.asarray(residuals),
         path_dependence=path_dep,
         path_dependent=path_dep > PATH_DEPENDENCE_FACTOR * residual_tol,
@@ -339,8 +330,8 @@ def transport_maps(system: WorkSystem, slopes: tuple[Expression, ...],
     slopes = affine_slopes(system).
 
     B_i = P_i - U*A_i is evaluated at the middle of u_range. Every P_i and
-    A_i is evaluated at every node of every segment in one array call per
-    panel count; a coefficient whose velocity component is 0.0 on a
+    A_i is evaluated at every node of every segment in one compile_tuple
+    call per panel count; a coefficient whose velocity component is 0.0 on a
     segment is skipped there, as the lift skips it. Panels double from 1
     until every partial map's heights at both ends of u_range move by at
     most LIFT_TOL * max(1, |height|). Raises PathLiftError, with the text
@@ -399,10 +390,11 @@ def _coefficient_values(system: WorkSystem, slopes: tuple[Expression, ...],
     segment, as arrays (segments, nodes), and the EvalError of each
     segment that has one.
 
-    One array call covers every segment. Should it raise, each segment
-    is evaluated alone with only the coefficients it does not skip, and a
-    segment that raises is searched node by node, in order, for its first
-    error; its values are left at zero.
+    One compile_tuple call covers every node of every segment, given as
+    1-D columns, so each value has the bits of a call at its node. Should
+    it raise, each segment is evaluated alone with only the coefficients
+    it does not skip, and a segment that raises is searched node by node,
+    in order, for its first error; its values are left at zero.
     """
     chart = system.chart
     nodes, _ = _panel()
@@ -411,27 +403,28 @@ def _coefficient_values(system: WorkSystem, slopes: tuple[Expression, ...],
     u_pos = chart.index(chart.vertical)
     axes = [chart.base.index(c) if i != u_pos else None for i, c in enumerate(chart.coords)]
 
-    def coords(points):
-        return [u_level if axis is None else points[..., axis] for axis in axes]
+    def coords(columns):
+        """compile_tuple's arguments from the base coordinates' columns or values."""
+        return [u_level if axis is None else columns[axis] for axis in axes]
 
     coefficients = (*system.coefficients, *slopes)
+    m = len(slopes)
     shape = base.shape[:2]
     try:
-        values = compile_array(coefficients, chart.coords)(*coords(base))
-        return [np.broadcast_to(v, shape) for v in values], {}
+        values = compile_tuple(coefficients, chart.coords)(*coords(base.reshape(-1, m).T))
+        return [np.broadcast_to(v, shape[0] * shape[1]).reshape(shape) for v in values], {}
     except EvalError:
         pass
-    m = len(slopes)
     values = [np.zeros(shape) for _ in coefficients]
     errors: dict[int, EvalError] = {}
     for row, d in enumerate(direction):
         live = [i for i in range(m) if d[i] != 0.0]
-        evaluate = compile_array([coefficients[i + j] for j in (0, m) for i in live],
+        evaluate = compile_tuple([coefficients[i + j] for j in (0, m) for i in live],
                                  chart.coords)
         try:
-            row_values = evaluate(*coords(base[row]))
+            row_values = evaluate(*coords(base[row].T))
         except EvalError:
-            for point in base[row]:
+            for point in base[row].tolist():
                 try:
                     evaluate(*coords(point))
                 except EvalError as exc:

@@ -6,16 +6,17 @@ evaluation with real-domain checking, and compilation to plain Python
 functions. The passes work at DAG size: parse shares equal subtrees, and
 differentiate and unparse handle a shared node once per call. One emitter
 (_emit) writes straight-line code with one temporary per distinct node for
-four targets: one function per expression (compile_expression), one
+three targets: one function per expression (compile_expression), one
 function returning several expressions' values as a tuple (compile_tuple,
-one per flatness check), the same tuple function on numpy's functions
-(compile_array, which entropy.reconstruct evaluates on every quadrature
-node of every base path at once) and one RK4 kernel per system,
-straight-segment velocity pattern and recording flag (segment_kernel, on
-which lift.lift_curve and lift.lift_endpoint run every polyline segment;
-lift_curve records the samples it keeps). The caches key on one
-structural key (_shape) that tells signed zeros apart; compile_expression,
-compile_tuple and compile_array share one cache.
+which connection.flatness calls on a whole grid and
+entropy.transport_maps on every quadrature node of every base path, with
+1-D coordinate arrays, each element getting the bits of a call at its
+point) and one RK4 kernel per system, straight-segment velocity pattern
+and recording flag (segment_kernel, on which lift.lift_curve and
+lift.lift_endpoint run every polyline segment; lift_curve records the
+samples it keeps). The caches key on one structural key (_shape) that
+tells signed zeros apart; compile_expression and compile_tuple share one
+cache.
 
 Supported grammar: +, -, *, /, ^ (right associative), unary minus,
 parentheses, and the functions sin, cos, tan, exp, log, sqrt, abs.
@@ -141,53 +142,14 @@ _FUNCTIONS: dict[str, Callable[..., float]] = {
 }
 
 
-# The same checks over numpy arrays: each raises the EvalError its scalar
-# counterpart raises at any element, and otherwise returns the elementwise
-# values. Generated array functions run under np.errstate(all="ignore"),
-# so arithmetic that overflows or meets nan warns nothing.
+# compile_tuple's division over floats or 1-D arrays: it raises the scalar
+# EvalError where any element of b is zero, and otherwise divides
+# elementwise with the bits of a / b on floats.
 
 def _array_div(a, b):
     if np.any(b == 0.0):
         raise EvalError("division by zero")
     return a / b
-
-
-def _array_pow(a, b):
-    if np.any((a < 0.0) & ~(np.isfinite(b) & (b == np.floor(b)))):
-        raise EvalError("negative base with non-integer exponent")
-    if np.any((a == 0.0) & (b < 0.0)):
-        raise EvalError("zero base with negative exponent")
-    value = np.power(a, b)
-    if np.any(np.isinf(value) & np.isfinite(a) & np.isfinite(b)):
-        raise EvalError("overflow in power")
-    return value
-
-
-def _array_log(x):
-    if np.any(x <= 0.0):
-        raise EvalError("log of non-positive value")
-    return np.log(x)
-
-
-def _array_sqrt(x):
-    if np.any(x < 0.0):
-        raise EvalError("sqrt of negative value")
-    return np.sqrt(x)
-
-
-def _array_exp(x):
-    value = np.exp(x)
-    if np.any(np.isinf(value) & np.isfinite(x)):
-        raise EvalError("overflow in exp")
-    return value
-
-
-def _array_trig(func: Callable):
-    def checked(x):
-        if np.any(np.isinf(x)):
-            raise EvalError(_TRIG_DOMAIN)
-        return func(x)
-    return checked
 
 
 def _per_element(func: Callable[..., float]) -> Callable:
@@ -203,18 +165,6 @@ def _per_element(func: Callable[..., float]) -> Callable:
 # compile_tuple's functions: / and abs as float or array operations, the others per element.
 _TUPLE_FUNCTIONS: dict[str, Callable] = {n: _per_element(f) for n, f in _FUNCTIONS.items()}
 _TUPLE_FUNCTIONS.update(abs=abs, div=_array_div)
-
-_ARRAY_FUNCTIONS: dict[str, Callable] = {
-    "sin": _array_trig(np.sin),
-    "cos": _array_trig(np.cos),
-    "tan": _array_trig(np.tan),
-    "exp": _array_exp,
-    "log": _array_log,
-    "sqrt": _array_sqrt,
-    "abs": np.abs,
-    "div": _array_div,
-    "pow": _array_pow,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +477,12 @@ def _derivative(e: Expression, coord: str, memo: dict[int, Expression]) -> Expre
             d = add(da, db)
         elif e.op == "-":
             d = sub(da, db)
-        elif e.op == "*":
-            d = add(mul(da, b), mul(a, db))
-        elif e.op == "/":
-            d = div(sub(mul(da, b), mul(a, db)), mul(b, b))
+        elif e.op in "*/":
+            # a term whose derivative factor is the constant 0 is left out,
+            # so that an infinite constant factor gives no 0*inf = nan
+            left = const(0.0) if _is_const(da, 0.0) else mul(da, b)
+            right = const(0.0) if _is_const(db, 0.0) else mul(a, db)
+            d = add(left, right) if e.op == "*" else div(sub(left, right), mul(b, b))
         # power: constant exponent gets the power rule, otherwise the
         # general rule via the logarithm (real-valued for positive base)
         elif isinstance(b, Const):
@@ -607,7 +559,7 @@ def _operand(rendered: tuple[str, int], parent_prec: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: one emitter, four targets
+# Compilation: one emitter, three targets
 
 def _shape(e: Expression) -> tuple:
     """Structural key of an expression; both compile caches key on it.
@@ -687,7 +639,6 @@ def _define(name: str, params: str, body: list[str],
     """Execute one generated function definition against functions."""
     namespace = {f"_{func}": impl for func, impl in functions.items()}
     namespace["_EvalError"] = EvalError
-    namespace["_errstate"] = np.errstate
     source = "\n    ".join([f"def {name}({params}):", "try:", *("    " + line for line in body),
                             "except ValueError:",
                             f"    raise _EvalError({_TRIG_DOMAIN!r}) from None"]) + "\n"
@@ -726,23 +677,6 @@ def compile_tuple(expressions: Sequence[Expression],
         raise _unbound(expressions, coords) from None
 
 
-def compile_array(expressions: Sequence[Expression],
-                  coords: tuple[str, ...]) -> Callable[..., tuple]:
-    """compile_tuple's code run over numpy arrays: coordinate arguments
-    are arrays (or floats) that broadcast together, and each value is an
-    array of that shape, or a float where the expression is constant.
-
-    The checked functions are array versions that raise the scalar
-    EvalError texts; an EvalError means some element is outside the
-    domain, and no numpy warning is emitted. Cached with the other
-    targets, under its own tag.
-    """
-    try:
-        return _compile(("array", *map(_shape, expressions)), tuple(coords))
-    except KeyError:
-        raise _unbound(expressions, coords) from None
-
-
 def _unbound(expressions: Sequence[Expression], coords: tuple[str, ...]) -> ExpressionError:
     unknown = sorted(set().union(*map(variables, expressions)) - set(coords))
     return ExpressionError(f"unbound variables {unknown} for coordinates {list(coords)}")
@@ -751,12 +685,11 @@ def _unbound(expressions: Sequence[Expression], coords: tuple[str, ...]) -> Expr
 @lru_cache(maxsize=4096)
 def _compile(shape: tuple, coords: tuple[str, ...]) -> Callable[..., float]:
     """The function for one shape, or, for ("tuple", *shapes), the tuple of
-    their values from one function with one memo; ("array", *shapes) is
-    that tuple function over arrays."""
+    their values from one function with one memo."""
     slots = {c: f"_x{i}" for i, c in enumerate(coords)}
     lines: list[tuple[str, str]] = []
     memo: dict[int | str, tuple[str, bool]] = {}
-    is_tuple = shape[0] in ("tuple", "array")
+    is_tuple = shape[0] == "tuple"
     roots = [_emit(item, lambda name: (slots[name], False), memo, lines, "e")[0]
              for item in (shape[1:] if is_tuple else (shape,))]
     if is_tuple:
@@ -767,12 +700,7 @@ def _compile(shape: tuple, coords: tuple[str, ...]) -> Callable[..., float]:
         result = roots[0]
     body = [f"{name} = {code}" for name, code in lines] + [f"return {result}"]
     params = ", ".join(slots[c] for c in coords)
-    if shape[0] == "array":
-        return _define("_compiled", params, ["with _errstate(all='ignore'):",
-                                             *("    " + line for line in body)],
-                       _ARRAY_FUNCTIONS)
-    return _define("_compiled", params, body,
-                   _TUPLE_FUNCTIONS if shape[0] == "tuple" else _FUNCTIONS)
+    return _define("_compiled", params, body, _TUPLE_FUNCTIONS if is_tuple else _FUNCTIONS)
 
 
 compile_expression.cache_info = _compile.cache_info

@@ -320,6 +320,14 @@ class TestGridArrays:
         with pytest.raises(ConnectionError_, match="sqrt of negative value$"):
             flatness(system, {"U": (-1, 1), "V1": (0.5, 1), "V2": (-1, 1)}, grid=3)
 
+    def test_infinite_curvature_names_its_node(self):
+        # F_12 = -dP_1/dV2 = -inf everywhere; dP_1/dU is 0, not 0*inf = nan
+        system = WorkSystem.build("inf", contact3().chart, {"V1": "1e999*V2", "V2": "0"})
+        with pytest.raises(ConnectionError_) as info:
+            flatness(system, REGION3, grid=3)
+        assert str(info.value) == ("evaluation failed at grid point "
+                                   "{'U': -1.0, 'V1': -1.0, 'V2': -1.0}: F_12 is infinite")
+
     def test_the_first_node_s_error_wins(self):
         # log(-V1) fails at V1 >= 0 and is computed first; sqrt(V1) fails at V1 = -1
         system = WorkSystem.build("two_errors", contact3().chart,

@@ -259,6 +259,16 @@ class TestTransportMaps:
         with pytest.raises(LiftError, match="^lift height is nan on segment 1$"):
             lift_endpoint(system, path, 0.0, 1e-12)
 
+    def test_infinite_constant_map_is_infinite(self):
+        # dP_1/dU of 1e999*V2 is 0, not 0*inf = nan, so both say infinite
+        system = WorkSystem.build("inf", contact3().chart, {"V1": "1e999*V2", "V2": "1"})
+        path = [(0.0, 1.0), (1.0, 1.0)]
+        infinite = "^lift height is infinite on segment 0$"
+        with pytest.raises(PathLiftError, match=infinite):
+            _maps(system, [path])
+        with pytest.raises(LiftError, match=infinite):
+            lift_endpoint(system, path, 0.0, 1e-12)
+
     @pytest.mark.parametrize("slope, u_range", [
         (1000, (-1.0, 1.0)),  # a = exp(1000) overflows, and b = 0*inf is nan
         (705, (-1e5, 1e5)),  # a = exp(705) is finite, a*1e5 is not
@@ -272,6 +282,29 @@ class TestTransportMaps:
         assert failure.value.path == 1
         with pytest.raises(LiftError, match=infinite):
             lift_endpoint(system, path, u_range[1], 1e-12)
+
+    @pytest.mark.parametrize("p1, p2", [
+        ("U*exp(0.3*V1 + 0.2*V2) + exp(V2)", "-exp(0.5*V1)"),
+        ("U*log(2 + V1*V2) + log(1.5 + V2)", "-log(2 + 0.5*V1)"),
+        ("U*tan(0.3*V1 + 0.2*V2) + tan(V2)", "-tan(0.5*V1)"),
+    ], ids=["exp", "log", "tan"])
+    def test_coefficient_values_equal_per_node_calls_bit_for_bit(self, p1, p2):
+        system = WorkSystem.build("affine", contact3().chart, {"V1": p1, "V2": p2})
+        slopes = affine_slopes(system)
+        start = np.array([[-0.6, -0.6], [0.37, -0.21], [0.6, 0.6], [0.1, 0.5]])
+        direction = np.array([[0.6, 0.6], [-0.5, 0.42], [0.0, -0.6], [0.3, 0.0]])
+        panels, u_level = 2, 0.25
+        values, errors = entropy._coefficient_values(system, slopes, start, direction,
+                                                     panels, u_level)
+        assert errors == {}
+        t = ((np.arange(panels)[:, None] + entropy._panel()[0]) / panels).ravel()
+        base = start[:, None, :] + t[:, None] * direction[:, None, :]
+        per_node = expr.compile_tuple((*system.coefficients, *slopes), system.chart.coords)
+        want = [[[v.hex() for v in per_node(u_level, *point)] for point in row]
+                for row in base.tolist()]
+        got = [[[float(v[r, j]).hex() for v in values] for j in range(len(t))]
+               for r in range(len(start))]
+        assert got == want
 
     def test_no_convergence_at_the_doubling_cap(self):
         # 1/V1 is infinite at t = 1/3, which no panel edge or node meets
@@ -347,7 +380,7 @@ class TestAffinity:
         evaluations = []
 
         def counting_compile(expressions, coords):
-            fn = expr.compile_array(expressions, coords)
+            fn = expr.compile_tuple(expressions, coords)
 
             def counted(*args):
                 evaluations.append(len(args))
@@ -356,7 +389,7 @@ class TestAffinity:
             return counted
 
         monkeypatch.setattr(entropy, "lift_endpoint", lambda *args: lifts.append(args))
-        monkeypatch.setattr(entropy, "compile_array", counting_compile)
+        monkeypatch.setattr(entropy, "compile_tuple", counting_compile)
         counts = []
         for grid in (3, 5):
             evaluations.clear()

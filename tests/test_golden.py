@@ -131,6 +131,37 @@ def test_contact3_entropy_cli_bytes(tmp_path, capsys):
         "a68d0add9af8ada15a25c93b22dd0b4ac16ef12d0f1c8c4d5891b300057c0fa8")
 
 
+EXP_INI = """\
+[system]
+name = exp
+energy = U
+base_coords = V1, V2
+P = U*exp(0.3*V1 + 0.2*V2) + exp(V2); -exp(0.5*V1)
+
+[region]
+U = -1, 1
+V1 = -0.6, 0.6
+V2 = -0.6, 0.6
+
+[grid]
+nodes = 9
+"""
+
+
+def test_exp_system_entropy_cli_bytes(tmp_path, capsys):
+    # transport_maps evaluates exp with math.exp's bits at every node; numpy's
+    # exp gives other bits on some nodes, and so other entropy rows
+    ini = tmp_path / "exp.ini"
+    ini.write_text(EXP_INI)
+    csv_path = tmp_path / "entropy.csv"
+    assert main(["entropy", "--file", str(ini), "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().out == (
+        "residual max = 0.3717644117890946, mean = 0.11599922431105186, tolerance = 1e-06, "
+        "path dependence = 0.6776177730634483 (PATH DEPENDENT), verdict = fail\n")
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "6a76c4312f09858475bb73d3cf013446850d8e0d157516b58b7f681e71599e8f")
+
+
 # ---------------------------------------------------------------------------
 # heatgauge check: the summary text, the sampled grid and the first error
 
